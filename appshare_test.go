@@ -1,6 +1,7 @@
 package appshare_test
 
 import (
+	"bytes"
 	"image/color"
 	"net"
 	"strings"
@@ -199,4 +200,48 @@ func TestSimulatedLinkFacade(t *testing.T) {
 		}
 		return len(p.Windows()) == 1
 	})
+}
+
+// TestUDPAdapterRecvReturnsRetainableCopies: Recv reads every datagram
+// into the adapter's one buffer, so what it returns must be a copy the
+// caller can keep across later Recvs — and sized to the datagram, not
+// to the 64 KiB read buffer.
+func TestUDPAdapterRecvReturnsRetainableCopies(t *testing.T) {
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := net.DialUDP("udp", nil, rx.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	send := &appshare.UDPAdapter{Conn: tx}
+	recv := &appshare.UDPAdapter{Conn: rx}
+	first, second := bytes.Repeat([]byte{0xAA}, 900), bytes.Repeat([]byte{0x55}, 1100)
+	if err := send.Send(first); err != nil {
+		t.Fatal(err)
+	}
+	_ = rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got1, err := recv.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := send.Send(second); err != nil {
+		t.Fatal(err)
+	}
+	got2, err := recv.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got1, first) {
+		t.Fatal("first datagram was overwritten by the second Recv")
+	}
+	if !bytes.Equal(got2, second) {
+		t.Fatal("second datagram corrupted")
+	}
+	if cap(got1) > 2*len(first) {
+		t.Fatalf("a %d-byte datagram came back in a %d-byte allocation", len(first), cap(got1))
+	}
 }

@@ -31,6 +31,11 @@ go test -race -count=1 -run 'TestScenarioStorms|TestStormShardInvariance' .
 # tick loop with counter reconciliation, and the per-remote byte-stream
 # parity proof, on one and four procs.
 go test -race -cpu 1,4 -count=2 -run 'TestShardChurnFlashCrowd|TestShardByteStreamParity' ./internal/ah
+# Allocation-free send path gates, on the same procs: what a tick (or a
+# relay's forwarded batch) allocates must not grow with the viewer
+# count, and neighbours that trash their datagrams after sending must
+# not change a byte of another viewer's stream on the shared shard arena.
+go test -race -cpu 1,4 -count=2 -run 'TestFanoutAllocatesNothingPerViewer|TestArenaIsolationScribblingNeighbours|TestRelayFanoutAllocatesNothingPerViewer' ./internal/ah ./internal/relay
 # Tile-store flake gate: the eviction-coherence and revisit tests pump
 # packets through real goroutines while asserting exact desync/reference
 # counts — rerun them under -race across every package holding a piece
@@ -67,6 +72,10 @@ go test -race -count=1 -run 'TestMigrationFamily|TestMigrationDeterminism|TestMi
 # matrix failure needs reproducing outside the test harness.
 go run ./cmd/ads-bench -scenarios -scenario relay-tree
 go run ./cmd/ads-bench -scenarios -scenario migrate-shards
+# The repository benchmark is a module of its own (benchmark/go.mod), so
+# nothing above compiles it: a product API change could break its build
+# unseen. Vet it and run its unit tests and topology smokes.
+(cd benchmark && go vet . && go test -short ./...)
 # Bench drift: re-measure the sharded fan-out tick latency and fail on
 # a >20% regression against the committed curve (absolute comparison
 # only when the environment matches the committed file; the fresh

@@ -526,23 +526,19 @@ func (h *Host) BroadcastExtension(payload []byte) error {
 	if len(payload) > h.cfg.MTU {
 		return fmt.Errorf("ah: extension payload %d exceeds MTU %d", len(payload), h.cfg.MTU)
 	}
-	now := h.cfg.Now()
+	// One private copy for the whole broadcast: the retransmission logs
+	// keep a reference to it, and the caller keeps its slice.
+	msgs := []preparedMessage{{payload: append([]byte(nil), payload...), kind: "Extension"}}
 	var firstErr error
 	for _, s := range h.shards {
 		s.mu.Lock()
+		s.inPhase = true
 		for r := range s.remotes {
-			pkt := r.pz.Packetize(payload, false, now)
-			raw, err := pkt.Marshal()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if err := r.shipAndLog(raw, "Extension"); err != nil && firstErr == nil {
+			if err := r.sendPrepared(msgs); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
+		h.endPhase(s)
 		s.mu.Unlock()
 	}
 	return firstErr
@@ -568,15 +564,6 @@ func (h *Host) updateHIDStatusLocked() {
 func (h *Host) record(kind string, n int) {
 	if h.cfg.Stats != nil {
 		h.cfg.Stats.Record(kind, n)
-	}
-}
-
-// recordN logs a run of same-kind messages in one collector call, so the
-// parallel shard senders hit the collector's mutex a few times per
-// batch instead of once per packet.
-func (h *Host) recordN(kind string, msgs, bytes uint64) {
-	if h.cfg.Stats != nil {
-		h.cfg.Stats.RecordN(kind, msgs, bytes)
 	}
 }
 

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"appshare/internal/display"
 	"appshare/internal/participant"
 	"appshare/internal/region"
+	"appshare/internal/stats"
 	"appshare/internal/transport"
 	"appshare/internal/windows"
 	"appshare/internal/workload"
@@ -127,12 +131,23 @@ func TestScreenConvergence(t *testing.T) {
 // TestScreenConvergenceUnderLossWithRepair repeats the invariant over a
 // lossy link with NACK repair: after repair rounds and a final tick, the
 // screens still converge.
+//
+// Every read of the participant's loss state sits behind an explicit
+// barrier instead of a sleep. Downstream, drain waits until the receive
+// pump has handled exactly the datagrams the link delivered (sent −
+// dropped on the host-side endpoint, minus receive-queue overflow counted
+// on the participant side). Upstream, a NACK or PLI is followed by a wait
+// for the host's own NACK-handled / PLI-handled count, which the host
+// records only after it has shipped the retransmissions or latched the
+// refresh. Without the barrier the repair loop could read "no gaps"
+// before the pump had drained the burst that contained them.
 func TestScreenConvergenceUnderLossWithRepair(t *testing.T) {
 	d := display.NewDesktop(800, 600)
 	win := d.CreateWindow(1, region.XYWH(50, 40, 400, 300))
+	st := stats.NewCollector()
 	// PLI rate limiting off: the endgame below may need several refresh
 	// rounds inside what would be one MinRefreshInterval window.
-	h, err := New(Config{Retransmissions: true, MinRefreshInterval: -1, Desktop: d})
+	h, err := New(Config{Retransmissions: true, MinRefreshInterval: -1, Desktop: d, Stats: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +158,7 @@ func TestScreenConvergenceUnderLossWithRepair(t *testing.T) {
 		transport.LinkConfig{Seed: 78},
 	)
 	p := participant.New(participant.Config{})
+	var handled atomic.Uint64
 	go func() {
 		for {
 			pkt, err := partConn.Recv()
@@ -150,23 +166,47 @@ func TestScreenConvergenceUnderLossWithRepair(t *testing.T) {
 				return
 			}
 			_ = p.HandlePacket(pkt)
+			handled.Add(1)
 		}
 	}()
+	type linkStats interface{ Stats() (sent, dropped uint64) }
+	drain := func() {
+		t.Helper()
+		waitFor(t, "receive pump to drain the link", func() bool {
+			sent, lost := hostConn.(linkStats).Stats()
+			_, overflowed := partConn.(linkStats).Stats()
+			return handled.Load() == sent-lost-overflowed
+		})
+	}
+	// feedback sends one RTCP packet upstream (that direction is
+	// lossless) and waits until the host has acted on it.
+	var nacks, plis uint64
+	feedback := func(pkt []byte, kind string, count *uint64) {
+		t.Helper()
+		if err := partConn.Send(pkt); err != nil {
+			t.Fatal(err)
+		}
+		*count++
+		waitFor(t, kind, func() bool { return st.Get(kind).Messages == *count })
+	}
+	// repair NACKs the gaps visible right now, if any, and waits for the
+	// retransmissions to land.
+	repair := func() {
+		t.Helper()
+		drain()
+		if nack, err := p.BuildNACK(); err == nil && nack != nil {
+			feedback(nack, "NACK-handled", &nacks)
+			drain()
+		}
+	}
+
 	if _, err := h.AttachPacketConn("lossy", hostConn, PacketOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	pli, err := p.BuildPLI()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := partConn.Send(pli); err != nil {
-		t.Fatal(err)
-	}
-	settle()
+	feedback(mustPLI(t, p), "PLI-handled", &plis)
 	if err := h.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	settle()
 
 	ty := workload.NewTyping(win, 48, 3)
 	for step := 0; step < 40; step++ {
@@ -174,18 +214,12 @@ func TestScreenConvergenceUnderLossWithRepair(t *testing.T) {
 		if err := h.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		if nack, err := p.BuildNACK(); err == nil && nack != nil {
-			_ = partConn.Send(nack)
-		}
+		repair()
 	}
 	// Repair until clean (retransmissions can be lost too).
 	for round := 0; round < 60 && len(p.MissingSequences()) > 0; round++ {
-		settle()
-		if nack, err := p.BuildNACK(); err == nil && nack != nil {
-			_ = partConn.Send(nack)
-		}
+		repair()
 	}
-	settle()
 	if missing := p.MissingSequences(); len(missing) != 0 {
 		t.Fatalf("unrepaired gaps: %v", missing)
 	}
@@ -206,21 +240,15 @@ func TestScreenConvergenceUnderLossWithRepair(t *testing.T) {
 		return got != nil && got.Bounds() == want.Bounds() && bytes.Equal(got.Pix, want.Pix)
 	}
 	for round := 0; round < 8 && (p.NeedsRefresh() || !converged()); round++ {
-		if err := partConn.Send(mustPLI(t, p)); err != nil {
-			t.Fatal(err)
-		}
-		settle()
+		feedback(mustPLI(t, p), "PLI-handled", &plis)
 		if err := h.Tick(); err != nil { // refresh serves at the tick
 			t.Fatal(err)
 		}
 		// Repair any visible gaps the lossy refresh itself opened.
+		repair()
 		for r := 0; r < 60 && len(p.MissingSequences()) > 0; r++ {
-			settle()
-			if nack, err := p.BuildNACK(); err == nil && nack != nil {
-				_ = partConn.Send(nack)
-			}
+			repair()
 		}
-		settle()
 	}
 	if missing := p.MissingSequences(); len(missing) != 0 {
 		t.Fatalf("unrepaired gaps after refresh rounds: %v", missing)
@@ -229,6 +257,19 @@ func TestScreenConvergenceUnderLossWithRepair(t *testing.T) {
 	got := p.WindowImage(win.ID())
 	if got == nil || !bytes.Equal(got.Pix, want.Pix) {
 		t.Fatal("screens did not converge after loss repair")
+	}
+}
+
+// waitFor polls cond until it holds; the test fails if it has not within
+// ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"appshare/internal/codec"
 	"appshare/internal/core"
 	"appshare/internal/remoting"
+	"appshare/internal/rtp"
 )
 
 // preparedMessage is one remoting-protocol payload (a whole message or
@@ -158,42 +159,55 @@ func tileRefMessages(up capture.Update, tileSize, mtu int) []preparedMessage {
 // state and ships them as ONE sink batch (a writev-style stream write,
 // or a batched datagram send). The owning shard's lock is held.
 //
-// Accounting covers exactly the packets the sink accepted, and stats
-// are flushed once per same-kind run instead of once per packet, so the
-// collector's mutex is not a cross-shard serialization point.
+// Nothing is allocated per packet: the headers and payload copies go
+// into the shard's arena, which the next remote of the shard overwrites
+// (every sink copies or writes before returning), and the
+// retransmission log keeps the header fields plus a reference to the
+// shared payload, from which a NACK re-stamps the datagram.
+//
+// Accounting covers exactly the packets the sink accepted. Stats are
+// tallied per same-kind run on the shard and reach the collector once
+// per shard phase (runShardWork, BroadcastExtension); a send outside a
+// phase — attach push, RequestRefresh, a forwarder's batch — flushes
+// before returning, so Stats is current whenever no tick is in flight.
 func (r *Remote) sendPrepared(msgs []preparedMessage) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	now := r.host.cfg.Now()
-	raws := r.rawScratch[:0]
-	for _, m := range msgs {
-		pkt := r.pz.Packetize(m.payload, m.marker, now)
-		raw, err := pkt.Marshal()
-		if err != nil {
-			r.rawScratch = raws[:0]
-			return err
-		}
-		raws = append(raws, raw)
+	sh := r.sh
+	ts := r.pz.Timestamp(r.host.cfg.Now())
+	first := r.pz.NextSequence()
+	sh.arena.Reset()
+	for i := range msgs {
+		sh.arena.Stamp(r.pz, msgs[i].payload, msgs[i].marker, ts)
 	}
-	n, err := r.sink.shipBatch(raws)
+	n, err := r.sink.shipBatch(sh.arena.Packets())
+	counting := r.host.cfg.Stats != nil
 	runStart, runBytes := 0, uint64(0)
 	for i := 0; i < n; i++ {
+		size := uint64(rtp.HeaderSize + len(msgs[i].payload))
 		r.sentPackets++
-		r.sentOctets += uint64(len(raws[i]))
-		runBytes += uint64(len(raws[i]))
-		r.logForRetransmission(raws[i])
+		r.sentOctets += size
+		if r.retrans != nil {
+			r.retrans.Put(rtp.LoggedPacket{
+				Payload:   msgs[i].payload,
+				Timestamp: ts,
+				Seq:       first + uint16(i),
+				Marker:    msgs[i].marker,
+			})
+		}
+		if !counting {
+			continue
+		}
+		runBytes += size
 		if i+1 == n || msgs[i+1].kind != msgs[i].kind {
-			r.host.recordN(msgs[i].kind, uint64(i+1-runStart), runBytes)
+			sh.tally.Add(msgs[i].kind, uint64(i+1-runStart), runBytes)
 			runStart, runBytes = i+1, 0
 		}
 	}
-	// Drop the buffer references (retransmission-logged packets are
-	// retained by the log itself); keep the outer slice's capacity.
-	for i := range raws {
-		raws[i] = nil
+	if counting && !sh.inPhase {
+		r.host.cfg.Stats.RecordTally(&sh.tally)
 	}
-	r.rawScratch = raws[:0]
 	if err == nil && n < len(msgs) {
 		// A short-count batch sender accepted only a prefix without
 		// reporting an error of its own. The remainder never reached the

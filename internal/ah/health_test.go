@@ -468,10 +468,15 @@ func TestLivenessNACKStormDetachRace(t *testing.T) {
 	}
 }
 
-// captureSink records shipped packets for direct Remote-level tests.
+// captureSink records shipped packets for direct Remote-level tests. It
+// copies each one: a sink must not keep the caller's slice (the send
+// paths stamp into a reused arena).
 type captureSink struct{ pkts [][]byte }
 
-func (c *captureSink) ship(p []byte) error { c.pkts = append(c.pkts, p); return nil }
+func (c *captureSink) ship(p []byte) error {
+	c.pkts = append(c.pkts, append([]byte(nil), p...))
+	return nil
+}
 func (c *captureSink) shipBatch(ps [][]byte) (int, error) {
 	for _, p := range ps {
 		_ = c.ship(p)
@@ -487,55 +492,54 @@ func (c *captureSink) close() error               { return nil }
 // TestLivenessRetransLogSeqWrapReuse: when the 16-bit sequence space
 // wraps and a sequence number is reused while its old packet is still
 // logged, the log must serve the NEW packet for that sequence — and must
-// not lose it when the old queue slot rotates out.
+// not lose it when the window rotates past the old entry's position.
 func TestLivenessRetransLogSeqWrapReuse(t *testing.T) {
 	h, _ := newHost(t, Config{Retransmissions: true, RetransLog: 4})
 	defer h.Close()
 	cs := &captureSink{}
 	r := h.newRemote("wrap", 0, cs)
 
-	mk := func(seq uint16, tag byte) []byte {
-		pkt := &rtp.Packet{
-			Header:  rtp.Header{PayloadType: 99, SequenceNumber: seq, SSRC: 42},
-			Payload: []byte{tag},
-		}
-		raw, err := pkt.Marshal()
-		if err != nil {
+	log := func(seq uint16, tag byte) {
+		r.retrans.Put(rtp.LoggedPacket{Seq: seq, Payload: []byte{tag}})
+	}
+	log(1, 'a')
+	log(2, 'a')
+	log(3, 'a')
+	// Sequence 1 reused (wrap) while its old entry is still logged.
+	log(1, 'b')
+	// One more packet: with a FIFO queue beside a map this eviction used
+	// to delete the NEW packet for seq 1.
+	log(4, 'a')
+
+	resend := func(seq uint16) [][]byte {
+		t.Helper()
+		cs.pkts = nil
+		r.sh.mu.Lock()
+		defer r.sh.mu.Unlock()
+		if err := r.resend([]uint16{seq}); err != nil {
 			t.Fatal(err)
 		}
-		return raw
+		return cs.pkts
 	}
-	r.logForRetransmission(mk(1, 'a'))
-	r.logForRetransmission(mk(2, 'a'))
-	r.logForRetransmission(mk(3, 'a'))
-	// Sequence 1 reused (wrap) while its old entry is still queued.
-	r.logForRetransmission(mk(1, 'b'))
-	// One more packet: with the aliased duplicate queue entry this
-	// eviction used to delete the NEW packet for seq 1.
-	r.logForRetransmission(mk(4, 'a'))
-
-	if err := r.resend([]uint16{1}); err != nil {
-		t.Fatal(err)
+	got := resend(1)
+	if len(got) != 1 {
+		t.Fatalf("NACK for live seq 1 served %d packets, want 1", len(got))
 	}
-	if len(cs.pkts) != 1 {
-		t.Fatalf("NACK for live seq 1 served %d packets, want 1", len(cs.pkts))
+	var hdr rtp.Header
+	if _, err := hdr.Unmarshal(got[0]); err != nil || hdr.SequenceNumber != 1 || hdr.SSRC != r.SSRC() {
+		t.Fatalf("re-stamped header = %+v (err %v), want seq 1 on the remote's SSRC", hdr, err)
 	}
-	got := cs.pkts[0]
-	if tag := got[len(got)-1]; tag != 'b' {
+	if tag := got[0][len(got[0])-1]; tag != 'b' {
 		t.Fatalf("retransmitted stale packet %q for reused seq, want 'b'", tag)
 	}
 
 	// Rotating the window far enough must still evict seq 1 exactly once.
-	r.logForRetransmission(mk(5, 'a'))
-	r.logForRetransmission(mk(6, 'a'))
-	cs.pkts = nil
-	if err := r.resend([]uint16{1}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cs.pkts) != 0 {
+	log(5, 'a')
+	log(6, 'a')
+	if got := resend(1); len(got) != 0 {
 		t.Fatal("evicted sequence still served from the log")
 	}
-	if len(r.retrans) != len(r.retransQ) {
-		t.Fatalf("log invariant broken: %d map entries, %d queue entries", len(r.retrans), len(r.retransQ))
+	if n := r.retrans.Len(); n != 4 {
+		t.Fatalf("log holds %d packets, want its bound of 4", n)
 	}
 }

@@ -14,7 +14,10 @@ import (
 )
 
 // sink ships encoded RTP/RTCP packets toward one participant (or one
-// multicast group).
+// multicast group). Like the transport beneath it (see
+// transport.PacketConn.Send), a sink copies or writes a packet before
+// returning and never keeps or changes the caller's slice: the send
+// paths hand it memory from the shard arena.
 type sink interface {
 	// ship sends one packet.
 	ship(pkt []byte) error
@@ -56,9 +59,6 @@ type Remote struct {
 	userID uint16
 	sink   sink
 	pz     *rtp.Packetizer
-	// rawScratch is the per-remote marshal scratch reused by
-	// sendPrepared's batched ship; guarded by sh.mu like the rest.
-	rawScratch [][]byte
 
 	// tileSeen is the tile-store seen-set of this remote — the tiles it
 	// has received at full fidelity this session, in arrival order (see
@@ -99,10 +99,10 @@ type Remote struct {
 	tierFlaps       uint64
 	decimTicks      int
 
-	// Retransmission log (UDP participants, Section 5.3.2): recent
-	// packets by sequence number.
-	retrans  map[uint16][]byte
-	retransQ []uint16
+	// Retransmission log (UDP participants, Section 5.3.2): the last
+	// Config.RetransLog packets by sequence number, each a reference to
+	// its shared prepared payload. nil with retransmissions off.
+	retrans *rtp.RetransLog
 
 	// RTCP state.
 	sentPackets uint64
@@ -179,10 +179,7 @@ func (h *Host) newRemote(id string, userID uint16, s sink) *Remote {
 		pending: region.NewSet(),
 	}
 	if h.cfg.Retransmissions {
-		// No capacity hint: a RetransLog sized for NACK service would
-		// preallocate megabytes across a flash crowd of joiners; the map
-		// grows to its working size on demand.
-		r.retrans = make(map[uint16][]byte)
+		r.retrans = rtp.NewRetransLog(h.cfg.RetransLog)
 	}
 	return r
 }
@@ -357,44 +354,6 @@ func (r *Remote) sendBatch(b *capture.Batch, allowRefs bool) error {
 	return r.sendPrepared(r.tileCompose(prep, allowRefs))
 }
 
-func (r *Remote) shipAndLog(pkt []byte, kind string) error {
-	if err := r.sink.ship(pkt); err != nil {
-		return err
-	}
-	r.sentPackets++
-	r.sentOctets += uint64(len(pkt))
-	r.host.record(kind, len(pkt))
-	r.logForRetransmission(pkt)
-	return nil
-}
-
-func (r *Remote) logForRetransmission(pkt []byte) {
-	if r.retrans == nil {
-		return
-	}
-	var hdr rtp.Header
-	if _, err := hdr.Unmarshal(pkt); err != nil {
-		return
-	}
-	seq := hdr.SequenceNumber
-	if _, dup := r.retrans[seq]; dup {
-		// The 16-bit sequence space wrapped and reused this number while
-		// its old packet was still logged. Overwrite in place: appending
-		// a second queue entry would alias — evicting the old entry
-		// would delete the NEW packet from the map, so a NACK for a
-		// live packet would miss.
-		r.retrans[seq] = pkt
-		return
-	}
-	if len(r.retransQ) >= r.host.cfg.RetransLog {
-		oldest := r.retransQ[0]
-		r.retransQ = r.retransQ[1:]
-		delete(r.retrans, oldest)
-	}
-	r.retrans[seq] = pkt
-	r.retransQ = append(r.retransQ, seq)
-}
-
 // fullRefresh sends the complete state to this remote (PLI service and
 // the TCP initial push). Shard lock held.
 //
@@ -432,19 +391,25 @@ func (r *Remote) fullRefresh() error {
 }
 
 // resend services a NACK for the given sequence numbers from the
-// retransmission log. Unknown sequences (already evicted) are skipped, as
-// the draft permits ("AHs MAY support retransmissions").
+// retransmission log: each packet still logged is re-stamped into the
+// shard's arena — byte-equal to the datagram first sent — and shipped.
+// Unknown sequences (already evicted) are skipped, as the draft permits
+// ("AHs MAY support retransmissions"). Shard lock held.
 func (r *Remote) resend(seqs []uint16) error {
 	if r.retrans == nil {
 		return nil
 	}
+	arena := &r.sh.arena
 	for _, s := range seqs {
-		if pkt, ok := r.retrans[s]; ok {
-			if err := r.sink.ship(pkt); err != nil {
-				return err
-			}
-			r.host.record("Retransmission", len(pkt))
+		e, ok := r.retrans.Get(s)
+		if !ok {
+			continue
 		}
+		pkt := arena.Restamp(r.pz, e)
+		if err := r.sink.ship(pkt); err != nil {
+			return err
+		}
+		r.host.record("Retransmission", len(pkt))
 	}
 	return nil
 }

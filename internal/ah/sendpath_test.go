@@ -94,7 +94,7 @@ func attachFault(t *testing.T, conn transport.PacketConn) (*Host, *display.Windo
 func remoteCounters(r *Remote) (packets, octets uint64, logged int) {
 	r.sh.mu.Lock()
 	defer r.sh.mu.Unlock()
-	return r.sentPackets, r.sentOctets, len(r.retransQ)
+	return r.sentPackets, r.sentOctets, r.retrans.Len()
 }
 
 // TestSendBatchShortCountSurfacesError plants a BatchSender that

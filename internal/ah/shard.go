@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 
 	"appshare/internal/capture"
+	"appshare/internal/rtp"
+	"appshare/internal/stats"
 )
 
 // Sharded send path (see DESIGN.md "Sharded send path"). The remote set
@@ -36,6 +38,17 @@ type shard struct {
 	// publish either hands the work descriptor to the sender or (when
 	// the host is closing and the sender may be gone) runs it inline.
 	work chan *shardWork
+	// arena is where every send to a remote of this shard is stamped
+	// (sendPrepared, resend). One remote's batch lives in it from the
+	// stamp to the return of the sink call, then the next remote's
+	// overwrites it; mu guards it like the remotes it serves.
+	arena rtp.Arena
+	// tally collects the per-kind send counts of the remotes walked in
+	// one phase so the stats collector's mutex is taken once per shard
+	// per phase, not once per remote. inPhase tells sendPrepared that a
+	// phase is running and will flush; outside one it flushes itself.
+	tally   stats.Tally
+	inPhase bool
 	// pw is the shard's pooled work descriptor. The barrier guarantees
 	// at most one outstanding fan-out per shard, so one descriptor per
 	// shard is reused for every tick of the session.
@@ -88,6 +101,8 @@ func (h *Host) runShardWork(w *shardWork) {
 	s := w.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.inPhase = true
+	defer h.endPhase(s)
 	switch w.phase {
 	case phaseDeliver:
 		s.refreshers = s.refreshers[:0]
@@ -141,6 +156,16 @@ func (h *Host) runShardWork(w *shardWork) {
 			}
 		}
 		s.refreshers = s.refreshers[:0]
+	}
+}
+
+// endPhase closes a walk over a shard's remotes that set s.inPhase and
+// sent to many of them: the sends tallied their stats on the shard, and
+// the collector gets the sum in one call. Shard lock held.
+func (h *Host) endPhase(s *shard) {
+	s.inPhase = false
+	if h.cfg.Stats != nil {
+		h.cfg.Stats.RecordTally(&s.tally)
 	}
 }
 

@@ -225,8 +225,13 @@ func (r *Remote) snapshotLocked(shardIndex uint32) RemoteSnapshot {
 		rs.LastRRJitter = r.lastRR.Jitter
 		rs.LastRRHighSeq = r.lastRR.HighestSeq
 	}
-	for _, seq := range r.retransQ {
-		rs.Retrans = append(rs.Retrans, RetransEntry{Seq: seq, Pkt: r.retrans[seq]})
+	if r.retrans != nil {
+		// The log holds payload references, not datagrams: re-stamp each
+		// entry into the bytes that went on the wire.
+		r.retrans.Each(func(e rtp.LoggedPacket) {
+			pkt := make([]byte, 0, rtp.HeaderSize+len(e.Payload))
+			rs.Retrans = append(rs.Retrans, RetransEntry{Seq: e.Seq, Pkt: r.pz.AppendLogged(pkt, e)})
+		})
 	}
 	return rs
 }
@@ -364,11 +369,23 @@ func (h *Host) restoreRemote(rs *RemoteSnapshot) error {
 		}
 	}
 	if h.cfg.Retransmissions {
-		r.retrans = make(map[uint16][]byte)
+		r.retrans = rtp.NewRetransLog(h.cfg.RetransLog)
 		for _, e := range rs.Retrans {
-			pkt := append([]byte(nil), e.Pkt...)
-			r.retrans[e.Seq] = pkt
-			r.retransQ = append(r.retransQ, e.Seq)
+			// Parse the datagram back into the fields the log keeps; the
+			// restored packetizer supplies SSRC and payload type again.
+			var p rtp.Packet
+			if err := p.Unmarshal(e.Pkt); err != nil {
+				return fmt.Errorf("ah: restore remote %q: retransmission log entry %d: %w", rs.ID, e.Seq, err)
+			}
+			if p.SequenceNumber != e.Seq {
+				return fmt.Errorf("ah: restore remote %q: retransmission log entry %d holds sequence %d", rs.ID, e.Seq, p.SequenceNumber)
+			}
+			r.retrans.Put(rtp.LoggedPacket{
+				Payload:   append([]byte(nil), p.Payload...),
+				Timestamp: p.Timestamp,
+				Seq:       e.Seq,
+				Marker:    p.Marker,
+			})
 		}
 	}
 

@@ -16,6 +16,7 @@ package relay
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,6 +112,14 @@ type msg struct {
 type rshard struct {
 	mu      sync.Mutex
 	viewers map[*Viewer]struct{}
+	// arena is where every send to a viewer of this shard is stamped,
+	// one viewer's batch at a time, and tally collects a fan-out's
+	// per-kind counts so the stats collector is locked once per shard
+	// (inFanout tells sendLocked that fanout will flush) — the origin's
+	// shard layout; see ah/shard.go. Guarded by mu.
+	arena    rtp.Arena
+	tally    stats.Tally
+	inFanout bool
 }
 
 // Relay is one edge node of the cascade.
@@ -392,6 +401,7 @@ func (r *Relay) fanout(batch []msg, refresh, settle bool) error {
 	var firstErr error
 	for _, s := range r.shards {
 		s.mu.Lock()
+		s.inFanout = true
 		for v := range s.viewers {
 			if refresh {
 				if !v.wantRefresh {
@@ -405,6 +415,10 @@ func (r *Relay) fanout(batch []msg, refresh, settle bool) error {
 			if err := v.sendLocked(batch); err != nil && firstErr == nil {
 				firstErr = err
 			}
+		}
+		s.inFanout = false
+		if r.cfg.Stats != nil {
+			r.cfg.Stats.RecordTally(&s.tally)
 		}
 		s.mu.Unlock()
 	}
@@ -460,11 +474,9 @@ type Viewer struct {
 	// batch is conn's batched-send fast path (nil when absent).
 	batch transport.BatchSender
 	pz    *rtp.Packetizer
-	raws  [][]byte // marshal scratch, guarded by sh.mu
 
 	// Guarded by sh.mu.
-	retrans      map[uint16][]byte
-	retransQ     []uint16
+	retrans      *rtp.RetransLog
 	sentPackets  uint64
 	sentOctets   uint64
 	lastRefresh  time.Time
@@ -480,6 +492,9 @@ type Viewer struct {
 // which repaints the viewer consistent with the deltas it joined in the
 // middle of. Either way the origin never hears about the join.
 func (r *Relay) AttachPacketConn(id string, conn transport.PacketConn) (*Viewer, error) {
+	if r.cfg.RemotingPT > 0x7F {
+		return nil, fmt.Errorf("relay: payload type %d exceeds 7 bits", r.cfg.RemotingPT)
+	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -494,7 +509,7 @@ func (r *Relay) AttachPacketConn(id string, conn transport.PacketConn) (*Viewer,
 		id:      id,
 		conn:    conn,
 		pz:      rtp.NewPacketizerFrom(ent, rtp.NewSSRCFrom(ent), r.cfg.RemotingPT, r.cfg.Now()),
-		retrans: make(map[uint16][]byte),
+		retrans: rtp.NewRetransLog(r.cfg.RetransLog),
 	}
 	if bs, ok := conn.(transport.BatchSender); ok {
 		v.batch = bs
@@ -599,90 +614,85 @@ func (r *Relay) serveCacheLocked(v *Viewer) error {
 	return v.sendLocked(cache)
 }
 
-// sendLocked stamps the batch with v's RTP stream state and ships it as
-// one sink batch. Shard lock held.
+// sendLocked stamps the batch with v's RTP stream state into the shard's
+// arena and ships it as one sink batch; the retransmission log keeps the
+// header fields and a reference to each shared payload. Stats are
+// tallied on the shard: fanout flushes them once per shard, any other
+// caller's send (attach, PLI serve) flushes before returning. Shard lock
+// held.
 func (v *Viewer) sendLocked(batch []msg) error {
 	if len(batch) == 0 || v.closed {
 		return nil
 	}
-	now := v.rl.cfg.Now()
-	raws := v.raws[:0]
-	for _, m := range batch {
-		pkt := v.pz.Packetize(m.payload, m.marker, now)
-		raw, err := pkt.Marshal()
-		if err != nil {
-			v.raws = raws[:0]
-			return err
-		}
-		raws = append(raws, raw)
+	sh := v.sh
+	ts := v.pz.Timestamp(v.rl.cfg.Now())
+	first := v.pz.NextSequence()
+	sh.arena.Reset()
+	for i := range batch {
+		sh.arena.Stamp(v.pz, batch[i].payload, batch[i].marker, ts)
 	}
+	pkts := sh.arena.Packets()
 	var n int
 	var err error
 	if v.batch != nil {
-		n, err = v.batch.SendBatch(raws)
-		if n > len(raws) {
-			n = len(raws)
+		n, err = v.batch.SendBatch(pkts)
+		if n > len(pkts) {
+			n = len(pkts)
 		}
 	} else {
-		n = len(raws)
-		for i, p := range raws {
+		n = len(pkts)
+		for i, p := range pkts {
 			if e := v.conn.Send(p); e != nil {
 				n, err = i, e
 				break
 			}
 		}
 	}
+	counting := v.rl.cfg.Stats != nil
 	runStart, runBytes := 0, uint64(0)
 	for i := 0; i < n; i++ {
+		size := uint64(rtp.HeaderSize + len(batch[i].payload))
 		v.sentPackets++
-		v.sentOctets += uint64(len(raws[i]))
-		runBytes += uint64(len(raws[i]))
-		v.logForRetransmission(raws[i])
+		v.sentOctets += size
+		v.retrans.Put(rtp.LoggedPacket{
+			Payload:   batch[i].payload,
+			Timestamp: ts,
+			Seq:       first + uint16(i),
+			Marker:    batch[i].marker,
+		})
+		if !counting {
+			continue
+		}
+		runBytes += size
 		if i+1 == n || batch[i+1].kind != batch[i].kind {
-			v.rl.recordN(batch[i].kind, uint64(i+1-runStart), runBytes)
+			sh.tally.Add(batch[i].kind, uint64(i+1-runStart), runBytes)
 			runStart, runBytes = i+1, 0
 		}
 	}
-	for i := range raws {
-		raws[i] = nil
+	if counting && !sh.inFanout {
+		v.rl.cfg.Stats.RecordTally(&sh.tally)
 	}
-	v.raws = raws[:0]
 	return err
 }
 
-// logForRetransmission mirrors the origin's bounded per-remote log.
-func (v *Viewer) logForRetransmission(pkt []byte) {
-	var hdr rtp.Header
-	if _, err := hdr.Unmarshal(pkt); err != nil {
-		return
-	}
-	seq := hdr.SequenceNumber
-	if _, dup := v.retrans[seq]; dup {
-		v.retrans[seq] = pkt
-		return
-	}
-	if len(v.retransQ) >= v.rl.cfg.RetransLog {
-		oldest := v.retransQ[0]
-		v.retransQ = v.retransQ[1:]
-		delete(v.retrans, oldest)
-	}
-	v.retrans[seq] = pkt
-	v.retransQ = append(v.retransQ, seq)
-}
-
-// resendLocked services a NACK from the log. Shard lock held.
+// resendLocked services a NACK from the log, re-stamping each packet
+// still retained into the bytes first sent. Shard lock held.
 // Retransmissions do not count toward sentPackets/sentOctets — the
 // origin's convention: those counters mean fresh sends, the quantity
 // RTCP sender reports and the simulation's counter oracle reconcile
 // against the wire's sequence chain.
 func (v *Viewer) resendLocked(seqs []uint16) error {
+	arena := &v.sh.arena
 	for _, s := range seqs {
-		if pkt, ok := v.retrans[s]; ok {
-			if err := v.conn.Send(pkt); err != nil {
-				return err
-			}
-			v.rl.record("Retransmission", len(pkt))
+		e, ok := v.retrans.Get(s)
+		if !ok {
+			continue
 		}
+		pkt := arena.Restamp(v.pz, e)
+		if err := v.conn.Send(pkt); err != nil {
+			return err
+		}
+		v.rl.record("Retransmission", len(pkt))
 	}
 	return nil
 }
@@ -737,11 +747,5 @@ func (v *Viewer) Close() error {
 func (r *Relay) record(kind string, bytes int) {
 	if r.cfg.Stats != nil {
 		r.cfg.Stats.Record(kind, bytes)
-	}
-}
-
-func (r *Relay) recordN(kind string, n, bytes uint64) {
-	if r.cfg.Stats != nil {
-		r.cfg.Stats.RecordN(kind, n, bytes)
 	}
 }

@@ -1,6 +1,9 @@
 package rtp
 
-import "time"
+import (
+	"encoding/binary"
+	"time"
+)
 
 // Clock converts wall-clock instants into 90 kHz RTP timestamp units with
 // a random (unpredictable) origin, per draft Sections 5.1.1 and 6.1.1.
@@ -86,6 +89,44 @@ func (p *Packetizer) Packetize(payload []byte, marker bool, at time.Time) *Packe
 	}
 	p.seq++
 	return pkt
+}
+
+// Timestamp returns the RTP timestamp this packetizer's clock assigns to
+// the given instant. All fragments of one message (and, on the fan-out
+// paths, all messages of one batch) share it, so callers compute it once
+// and pass it to AppendPacket.
+func (p *Packetizer) Timestamp(at time.Time) uint32 { return p.clock.Timestamp(at) }
+
+// AppendPacket appends the next packet of the stream — the 12-byte fixed
+// header followed by payload — to dst and advances the sequence number.
+// The appended bytes are identical to Packetize(payload, marker,
+// at).Marshal() for ts == Timestamp(at), without the intermediate Packet
+// or a buffer of its own: the fan-out paths stamp every viewer's copy
+// into one reusable arena.
+func (p *Packetizer) AppendPacket(dst, payload []byte, marker bool, ts uint32) []byte {
+	dst = p.AppendLogged(dst, LoggedPacket{Payload: payload, Timestamp: ts, Seq: p.seq, Marker: marker})
+	p.seq++
+	return dst
+}
+
+// AppendLogged re-stamps a packet this stream already sent: the header
+// is rebuilt from the logged sequence number, timestamp and marker plus
+// the packetizer's SSRC and payload type, so the result is byte-equal to
+// the original datagram. The sequence counter does not move.
+//
+// The payload type must fit 7 bits (hosts and relays validate it at
+// configuration time); a stray high bit is masked off so it can never
+// read as the marker.
+func (p *Packetizer) AppendLogged(dst []byte, e LoggedPacket) []byte {
+	b1 := p.pt & 0x7F
+	if e.Marker {
+		b1 |= 1 << 7
+	}
+	dst = append(dst, Version<<6, b1)
+	dst = binary.BigEndian.AppendUint16(dst, e.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, e.Timestamp)
+	dst = binary.BigEndian.AppendUint32(dst, p.ssrc)
+	return append(dst, e.Payload...)
 }
 
 // NewSSRC returns a random synchronization source identifier.

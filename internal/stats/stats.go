@@ -28,15 +28,21 @@ func NewCollector() *Collector {
 	return &Collector{perKind: make(map[string]*Counter)}
 }
 
-// Record adds one message of the given kind and size.
-func (c *Collector) Record(kind string, bytes int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// counterLocked returns kind's counter, creating it on first use.
+func (c *Collector) counterLocked(kind string) *Counter {
 	ctr := c.perKind[kind]
 	if ctr == nil {
 		ctr = &Counter{}
 		c.perKind[kind] = ctr
 	}
+	return ctr
+}
+
+// Record adds one message of the given kind and size.
+func (c *Collector) Record(kind string, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ctr := c.counterLocked(kind)
 	ctr.Messages++
 	ctr.Bytes += uint64(bytes)
 }
@@ -51,13 +57,52 @@ func (c *Collector) RecordN(kind string, n, bytes uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ctr := c.perKind[kind]
-	if ctr == nil {
-		ctr = &Counter{}
-		c.perKind[kind] = ctr
-	}
+	ctr := c.counterLocked(kind)
 	ctr.Messages += n
 	ctr.Bytes += bytes
+}
+
+// Tally accumulates per-kind counts without synchronization, for a
+// caller that already holds a lock of its own across many sends (a
+// fan-out shard walking its viewers) and wants to pay for the
+// Collector's mutex once at the end instead of once per viewer. The
+// handful of message kinds a batch carries are found by linear search.
+type Tally struct {
+	kinds []tallied
+}
+
+type tallied struct {
+	kind string
+	Counter
+}
+
+// Add counts n messages totalling the given bytes of one kind.
+func (t *Tally) Add(kind string, n, bytes uint64) {
+	for i := range t.kinds {
+		if t.kinds[i].kind == kind {
+			t.kinds[i].Messages += n
+			t.kinds[i].Bytes += bytes
+			return
+		}
+	}
+	t.kinds = append(t.kinds, tallied{kind, Counter{Messages: n, Bytes: bytes}})
+}
+
+// RecordTally adds everything t accumulated under one acquisition of the
+// collector's lock and empties t (keeping its memory). Totals are the
+// same as if every Add had been a RecordN of at least one message.
+func (c *Collector) RecordTally(t *Tally) {
+	if len(t.kinds) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range t.kinds {
+		ctr := c.counterLocked(k.kind)
+		ctr.Messages += k.Messages
+		ctr.Bytes += k.Bytes
+	}
+	t.kinds = t.kinds[:0]
 }
 
 // Get returns the counter for kind (zero value if unseen).

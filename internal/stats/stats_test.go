@@ -182,3 +182,36 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("p0 after add = %v", q)
 	}
 }
+
+// TestTallyFlushEqualsRecordN: kinds accumulated on a Tally and flushed
+// once leave the collector with the totals the same RecordN calls would
+// have, and the tally comes back empty and reusable.
+func TestTallyFlushEqualsRecordN(t *testing.T) {
+	direct, batched := NewCollector(), NewCollector()
+	var tally Tally
+	for round := 0; round < 3; round++ {
+		for _, r := range []struct {
+			kind     string
+			n, bytes uint64
+		}{
+			{"RegionUpdate", 3, 3000}, {"WindowManagerInfo", 1, 40}, {"RegionUpdate", 2, 1500},
+		} {
+			direct.RecordN(r.kind, r.n, r.bytes)
+			tally.Add(r.kind, r.n, r.bytes)
+		}
+		batched.RecordTally(&tally)
+		if len(tally.kinds) != 0 {
+			t.Fatalf("round %d: tally still holds %d kinds after the flush", round, len(tally.kinds))
+		}
+	}
+	if direct.String() != batched.String() {
+		t.Fatalf("batched totals differ:\n%s\nwant:\n%s", batched, direct)
+	}
+	if got := batched.Get("RegionUpdate"); got != (Counter{Messages: 15, Bytes: 13500}) {
+		t.Fatalf("RegionUpdate = %+v", got)
+	}
+	batched.RecordTally(&tally) // empty tally: no-op
+	if direct.String() != batched.String() {
+		t.Fatal("flushing an empty tally changed the collector")
+	}
+}

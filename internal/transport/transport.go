@@ -26,6 +26,12 @@ type PacketConn interface {
 	// Send transmits one datagram. It never blocks for the network;
 	// datagrams in excess of the link capacity are dropped, as UDP
 	// would.
+	//
+	// Buffer ownership follows the io.Writer rule: Send must not modify
+	// pkt, even temporarily, and must not retain it — an implementation
+	// that needs the bytes after returning copies them. The send paths
+	// stamp packets into memory they reuse for the next viewer as soon
+	// as Send returns.
 	Send(pkt []byte) error
 	// Recv blocks until a datagram arrives or the conn closes (io.EOF).
 	Recv() ([]byte, error)
@@ -37,8 +43,10 @@ type PacketConn interface {
 // the sendmmsg/writev analogue. SendBatch transmits a run of datagrams
 // in one operation (for the simulated endpoint: one lock acquisition and
 // one shaper pass for the whole run) and returns how many datagrams were
-// accepted. Semantics per datagram are identical to Send; callers that
-// find the interface absent fall back to per-packet sends.
+// accepted. Semantics per datagram are identical to Send — including
+// buffer ownership: neither pkts nor any datagram in it may be modified
+// or retained past the return — and callers that find the interface
+// absent fall back to per-packet sends.
 type BatchSender interface {
 	SendBatch(pkts [][]byte) (int, error)
 }

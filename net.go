@@ -371,9 +371,14 @@ type closerFunc func() error
 
 func (f closerFunc) Close() error { return f() }
 
-// UDPAdapter wraps a connected *net.UDPConn as a PacketConn.
+// UDPAdapter wraps a connected *net.UDPConn as a PacketConn. Recv must
+// not be called from two goroutines at once: it reads into one buffer
+// (a connection has one pump goroutine).
 type UDPAdapter struct {
 	Conn *net.UDPConn
+	// rbuf is the datagram-sized buffer Recv reads into, allocated on
+	// first use.
+	rbuf []byte
 }
 
 // Send implements PacketConn.
@@ -398,14 +403,18 @@ func (u *UDPAdapter) SendBatch(pkts [][]byte) (int, error) {
 	return len(pkts), nil
 }
 
-// Recv implements PacketConn.
+// Recv implements PacketConn. The socket is read into the adapter's one
+// reusable 64 KiB buffer and the datagram returned as an exact-length
+// copy, which the caller may keep.
 func (u *UDPAdapter) Recv() ([]byte, error) {
-	buf := make([]byte, 64<<10)
-	n, err := u.Conn.Read(buf)
+	if u.rbuf == nil {
+		u.rbuf = make([]byte, 64<<10)
+	}
+	n, err := u.Conn.Read(u.rbuf)
 	if err != nil {
 		return nil, err
 	}
-	return buf[:n], nil
+	return append([]byte(nil), u.rbuf[:n]...), nil
 }
 
 // Close implements PacketConn.
