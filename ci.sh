@@ -18,11 +18,15 @@ go test -race -count=5 -run Liveness . ./internal/ah ./internal/transport
 # virtual sweep clock with real sink goroutines, and its hysteresis
 # assertions are exactly the kind that only flake under load.
 go test -race -count=5 -run Ladder . ./internal/ah
-# Scenario-matrix smoke: every netsim profile with all oracles, the
-# replay-determinism check and the planted-fault mutation checks, under
-# the race detector (short profiles, fixed seeds — see EXPERIMENTS.md
-# Section C).
-go test -race -count=1 -run 'ScenarioMatrix|ScenarioDeterminism|ScenarioMutation' .
+# Scenario-matrix smoke: every netsim profile with all oracles and the
+# planted-fault mutation checks, under the race detector (short
+# profiles, fixed seeds — see EXPERIMENTS.md Section C).
+go test -race -count=1 -run 'ScenarioMatrix|ScenarioMutation' .
+# The refactoring safety net itself: every scenario's journal digest
+# against testdata/scenario_digests.txt, and every scenario replayed
+# twice byte for byte, on one, two and four procs — a digest that
+# depends on scheduling shows up here, not in a later PR's diff.
+go test -race -cpu 1,2,4 -count=1 -run 'TestScenarioDigestsFrozen|TestScenarioDeterminism' .
 # Sharded send path gates (see DESIGN.md "Sharded send path"). Storm
 # scenarios at flash-crowd scale with every oracle armed, plus the
 # shard-count replay-invariance proof, under the race detector.
@@ -33,9 +37,11 @@ go test -race -count=1 -run 'TestScenarioStorms|TestStormShardInvariance' .
 go test -race -cpu 1,4 -count=2 -run 'TestShardChurnFlashCrowd|TestShardByteStreamParity' ./internal/ah
 # Allocation-free send path gates, on the same procs: what a tick (or a
 # relay's forwarded batch) allocates must not grow with the viewer
-# count, and neighbours that trash their datagrams after sending must
-# not change a byte of another viewer's stream on the shared shard arena.
-go test -race -cpu 1,4 -count=2 -run 'TestFanoutAllocatesNothingPerViewer|TestArenaIsolationScribblingNeighbours|TestRelayFanoutAllocatesNothingPerViewer' ./internal/ah ./internal/relay
+# count, a batch handed to a forwarder or re-fanned by a relay must not
+# be converted on the way, and neighbours that trash their datagrams
+# after sending must not change a byte of another viewer's stream on the
+# shared shard arena.
+go test -race -cpu 1,4 -count=2 -run 'TestFanoutAllocatesNothingPerViewer|TestForwardersGetThePreparedBatchItself|TestArenaIsolationScribblingNeighbours|TestRelayFanoutAllocatesNothingPerViewer|TestRelayForwardBatchAllocatesNothing' ./internal/ah ./internal/relay
 # Tile-store flake gate: the eviction-coherence and revisit tests pump
 # packets through real goroutines while asserting exact desync/reference
 # counts — rerun them under -race across every package holding a piece
@@ -46,7 +52,8 @@ go test -race -count=5 -run Tile ./internal/ah ./internal/codec ./internal/parti
 # Tick goroutine while viewer feedback arrives on pump goroutines, and
 # the cache/latch handoff between them is exactly the kind of ordering
 # that only breaks under scheduler pressure — rerun the relay tests
-# repeatedly under -race.
+# repeatedly under -race (TestRelayAttachRacingCloseLeavesNoViewer, 200
+# attach-vs-Close rounds a run, among them).
 go test -race -count=5 -run Relay ./internal/relay
 # 2-level-tree smoke: origin → relay → edge viewers with every oracle
 # armed (including relay-cascade: zero edge-triggered origin encodes),

@@ -7,7 +7,7 @@
 // Examples:
 //
 //	ads-relay -origin 127.0.0.1:6000 -udp :7000
-//	ads-relay -origin 127.0.0.1:6000 -udp :7000 -refresh-every 64 -shards 4
+//	ads-relay -origin 127.0.0.1:6000 -udp :7000 -refresh-every 64
 package main
 
 import (
@@ -27,7 +27,6 @@ func main() {
 		remotingPT   = flag.Uint("pt", 99, "remoting RTP payload type")
 		refreshEvery = flag.Int("refresh-every", 64, "request an upstream cache refill every N forwarded messages (0 disables)")
 		minRefresh   = flag.Duration("min-refresh", 500*time.Millisecond, "per-viewer cache-serve rate limit")
-		shards       = flag.Int("shards", 1, "viewer shards")
 		statsEvery   = flag.Duration("stats", 5*time.Second, "cascade counter print interval (0 disables)")
 		duration     = flag.Duration("duration", 0, "how long to relay (0 = until the upstream dies)")
 	)
@@ -41,7 +40,6 @@ func main() {
 		RemotingPT:         uint8(*remotingPT),
 		RefreshEvery:       *refreshEvery,
 		MinRefreshInterval: *minRefresh,
-		Shards:             *shards,
 	})
 
 	up, err := net.Dial("tcp", *origin)

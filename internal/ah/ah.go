@@ -23,6 +23,7 @@ import (
 	"appshare/internal/bfcp"
 	"appshare/internal/capture"
 	"appshare/internal/display"
+	"appshare/internal/fanout"
 	"appshare/internal/region"
 	"appshare/internal/remoting"
 	"appshare/internal/stats"
@@ -145,7 +146,7 @@ var ErrHostClosed = errors.New("ah: host closed")
 // Host is an application host serving one sharing session.
 //
 // Lock order (see DESIGN.md "Sharded send path"): tickMu → mu →
-// shard.mu → capMu. Tick holds tickMu end to end; mu guards host-wide
+// shard.Mu → capMu. Tick holds tickMu end to end; mu guards host-wide
 // queue state (HIP queue, eviction log, closed flag) and is NOT held
 // while the tick's batch is captured and encoded; each shard's lock
 // guards the per-remote state of the remotes assigned to it; capMu
@@ -275,6 +276,7 @@ func New(cfg Config) (*Host, error) {
 	h.shards = make([]*shard, cfg.SendShards)
 	for i := range h.shards {
 		s := &shard{
+			Shard:   fanout.Shard{Now: cfg.Now, Stats: cfg.Stats},
 			remotes: make(map[*Remote]struct{}),
 			work:    make(chan *shardWork),
 		}
@@ -410,7 +412,7 @@ func (h *Host) serveRefreshers(fwds []Forwarder) error {
 
 // captureFullRefresh snapshots the full participant state. Serialized by
 // capMu alone; callers may additionally hold a shard lock (order
-// shard.mu → capMu).
+// shard.Mu → capMu).
 func (h *Host) captureFullRefresh() (*capture.Batch, error) {
 	h.capMu.Lock()
 	defer h.capMu.Unlock()
@@ -493,11 +495,11 @@ func (h *Host) Close() error {
 	}
 	var remotes []*Remote
 	for _, s := range h.shards {
-		s.mu.Lock()
+		s.Mu.Lock()
 		for r := range s.remotes {
 			remotes = append(remotes, r)
 		}
-		s.mu.Unlock()
+		s.Mu.Unlock()
 	}
 	for _, r := range remotes {
 		_ = r.Close()
@@ -528,18 +530,18 @@ func (h *Host) BroadcastExtension(payload []byte) error {
 	}
 	// One private copy for the whole broadcast: the retransmission logs
 	// keep a reference to it, and the caller keeps its slice.
-	msgs := []preparedMessage{{payload: append([]byte(nil), payload...), kind: "Extension"}}
+	msgs := []PreparedPayload{{Payload: append([]byte(nil), payload...), Kind: "Extension"}}
 	var firstErr error
 	for _, s := range h.shards {
-		s.mu.Lock()
-		s.inPhase = true
+		s.Mu.Lock()
+		s.BeginPhase()
 		for r := range s.remotes {
-			if err := r.sendPrepared(msgs); err != nil && firstErr == nil {
+			if err := r.st.Send(msgs); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
-		h.endPhase(s)
-		s.mu.Unlock()
+		s.EndPhase()
+		s.Mu.Unlock()
 	}
 	return firstErr
 }
@@ -578,7 +580,7 @@ func (h *Host) addRemoteUnique(r *Remote) error { return h.insertRemote(r, true)
 // insertRemote attaches r to its assigned shard. h.mu serializes whole
 // attaches against each other (and against Close), so the uniqueness
 // scan across shards cannot race a concurrent same-ID attach; the shard
-// locks are taken one at a time under it (lock order mu → shard.mu).
+// locks are taken one at a time under it (lock order mu → shard.Mu).
 func (h *Host) insertRemote(r *Remote, unique bool) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -587,19 +589,19 @@ func (h *Host) insertRemote(r *Remote, unique bool) error {
 	}
 	if unique {
 		for _, s := range h.shards {
-			s.mu.Lock()
+			s.Mu.Lock()
 			for o := range s.remotes {
 				if o.id == r.id {
-					s.mu.Unlock()
+					s.Mu.Unlock()
 					return fmt.Errorf("ah: remote %q already attached", r.id)
 				}
 			}
-			s.mu.Unlock()
+			s.Mu.Unlock()
 		}
 	}
 	now := h.cfg.Now()
 	s := r.sh
-	s.mu.Lock()
+	s.Mu.Lock()
 	r.attachedAt = now
 	r.healthSince = now
 	r.tierSince = now
@@ -608,20 +610,20 @@ func (h *Host) insertRemote(r *Remote, unique bool) error {
 	}
 	s.remotes[r] = struct{}{}
 	s.size.Add(1)
-	s.mu.Unlock()
+	s.Mu.Unlock()
 	h.nRemotes.Add(1)
 	return nil
 }
 
 func (h *Host) dropRemote(r *Remote) {
 	s := r.sh
-	s.mu.Lock()
+	s.Mu.Lock()
 	if _, ok := s.remotes[r]; ok {
 		delete(s.remotes, r)
 		s.size.Add(-1)
 		h.nRemotes.Add(-1)
 	}
-	s.mu.Unlock()
+	s.Mu.Unlock()
 	if h.cfg.Floor != nil {
 		h.cfg.Floor.Drop(r.userID)
 	}

@@ -2,23 +2,12 @@ package ah
 
 import (
 	"fmt"
-	"io"
 
 	"appshare/internal/capture"
 	"appshare/internal/codec"
 	"appshare/internal/core"
 	"appshare/internal/remoting"
-	"appshare/internal/rtp"
 )
-
-// preparedMessage is one remoting-protocol payload (a whole message or
-// one fragment of it) ready for per-remote RTP packetization, tagged
-// with its message kind for stats and the draft's marker-bit rule.
-type preparedMessage struct {
-	payload []byte
-	marker  bool
-	kind    string
-}
 
 // preparedBatch is a capture batch marshalled and fragmented exactly
 // once. The payload bytes are shared by every remote the batch fans out
@@ -26,7 +15,7 @@ type preparedMessage struct {
 // per participant — so a 100-receiver session pays one marshalling cost,
 // not 100.
 type preparedBatch struct {
-	msgs []preparedMessage
+	msgs []PreparedPayload
 	// wmCount is the number of leading messages carrying the batch's
 	// WindowManagerInfo (0 or 1); wmOnly slices them off for the
 	// backlogged path, which sends window state but defers pixels.
@@ -48,11 +37,11 @@ type preparedBatch struct {
 type preparedUpdate struct {
 	start, end int
 	tiles      []codec.TileKey
-	ref        []preparedMessage
+	ref        []PreparedPayload
 }
 
 // wmOnly returns just the WindowManagerInfo messages of the batch.
-func (p *preparedBatch) wmOnly() []preparedMessage { return p.msgs[:p.wmCount] }
+func (p *preparedBatch) wmOnly() []PreparedPayload { return p.msgs[:p.wmCount] }
 
 // prepareBatch marshals a capture batch into protocol payloads in apply
 // order, applying the draft's RTP usage rules: the marker bit follows
@@ -70,7 +59,7 @@ func prepareBatch(b *capture.Batch, mtu int, ts *TileStoreConfig) (*preparedBatc
 		if err != nil {
 			return nil, fmt.Errorf("ah: encode WindowManagerInfo: %w", err)
 		}
-		out.msgs = append(out.msgs, preparedMessage{payload: payload, kind: "WindowManagerInfo"})
+		out.msgs = append(out.msgs, PreparedPayload{Payload: payload, Kind: "WindowManagerInfo"})
 		out.wmCount = 1
 	}
 	for _, mv := range b.Moves {
@@ -78,7 +67,7 @@ func prepareBatch(b *capture.Batch, mtu int, ts *TileStoreConfig) (*preparedBatc
 		if err != nil {
 			return nil, fmt.Errorf("ah: encode MoveRectangle: %w", err)
 		}
-		out.msgs = append(out.msgs, preparedMessage{payload: payload, kind: "MoveRectangle"})
+		out.msgs = append(out.msgs, PreparedPayload{Payload: payload, Kind: "MoveRectangle"})
 	}
 	for _, up := range b.Updates {
 		start := len(out.msgs)
@@ -87,7 +76,7 @@ func prepareBatch(b *capture.Batch, mtu int, ts *TileStoreConfig) (*preparedBatc
 			return nil, fmt.Errorf("ah: fragment RegionUpdate: %w", err)
 		}
 		for _, f := range frags {
-			out.msgs = append(out.msgs, preparedMessage{payload: f.Payload, marker: f.Marker, kind: "RegionUpdate"})
+			out.msgs = append(out.msgs, PreparedPayload{Payload: f.Payload, Marker: f.Marker, Kind: "RegionUpdate"})
 		}
 		if ts != nil {
 			out.updates = append(out.updates, preparedUpdate{
@@ -104,7 +93,7 @@ func prepareBatch(b *capture.Batch, mtu int, ts *TileStoreConfig) (*preparedBatc
 			return nil, fmt.Errorf("ah: fragment MousePointerInfo: %w", err)
 		}
 		for _, f := range frags {
-			out.msgs = append(out.msgs, preparedMessage{payload: f.Payload, marker: f.Marker, kind: "MousePointerInfo"})
+			out.msgs = append(out.msgs, PreparedPayload{Payload: f.Payload, Marker: f.Marker, Kind: "MousePointerInfo"})
 		}
 	}
 	return out, nil
@@ -116,7 +105,7 @@ func prepareBatch(b *capture.Batch, mtu int, ts *TileStoreConfig) (*preparedBatc
 // internal/remoting). It returns nil when the update has no tiles (lossy
 // encode, tiling off) or the region is too wide for even one tile row
 // per packet, in which case the caller falls back to pixels.
-func tileRefMessages(up capture.Update, tileSize, mtu int) []preparedMessage {
+func tileRefMessages(up capture.Update, tileSize, mtu int) []PreparedPayload {
 	if len(up.Tiles) == 0 || tileSize <= 0 {
 		return nil
 	}
@@ -131,7 +120,7 @@ func tileRefMessages(up capture.Update, tileSize, mtu int) []preparedMessage {
 	if rowsPer < 1 {
 		return nil
 	}
-	var out []preparedMessage
+	var out []PreparedPayload
 	for r0 := 0; r0 < rows; r0 += rowsPer {
 		r1 := min(r0+rowsPer, rows)
 		band := &remoting.TileReference{
@@ -150,73 +139,9 @@ func tileRefMessages(up capture.Update, tileSize, mtu int) []preparedMessage {
 		if err != nil {
 			return nil
 		}
-		out = append(out, preparedMessage{payload: payload, kind: "TileReference"})
+		out = append(out, PreparedPayload{Payload: payload, Kind: "TileReference"})
 	}
 	return out
-}
-
-// sendPrepared stamps the shared payloads with this remote's RTP stream
-// state and ships them as ONE sink batch (a writev-style stream write,
-// or a batched datagram send). The owning shard's lock is held.
-//
-// Nothing is allocated per packet: the headers and payload copies go
-// into the shard's arena, which the next remote of the shard overwrites
-// (every sink copies or writes before returning), and the
-// retransmission log keeps the header fields plus a reference to the
-// shared payload, from which a NACK re-stamps the datagram.
-//
-// Accounting covers exactly the packets the sink accepted. Stats are
-// tallied per same-kind run on the shard and reach the collector once
-// per shard phase (runShardWork, BroadcastExtension); a send outside a
-// phase — attach push, RequestRefresh, a forwarder's batch — flushes
-// before returning, so Stats is current whenever no tick is in flight.
-func (r *Remote) sendPrepared(msgs []preparedMessage) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	sh := r.sh
-	ts := r.pz.Timestamp(r.host.cfg.Now())
-	first := r.pz.NextSequence()
-	sh.arena.Reset()
-	for i := range msgs {
-		sh.arena.Stamp(r.pz, msgs[i].payload, msgs[i].marker, ts)
-	}
-	n, err := r.sink.shipBatch(sh.arena.Packets())
-	counting := r.host.cfg.Stats != nil
-	runStart, runBytes := 0, uint64(0)
-	for i := 0; i < n; i++ {
-		size := uint64(rtp.HeaderSize + len(msgs[i].payload))
-		r.sentPackets++
-		r.sentOctets += size
-		if r.retrans != nil {
-			r.retrans.Put(rtp.LoggedPacket{
-				Payload:   msgs[i].payload,
-				Timestamp: ts,
-				Seq:       first + uint16(i),
-				Marker:    msgs[i].marker,
-			})
-		}
-		if !counting {
-			continue
-		}
-		runBytes += size
-		if i+1 == n || msgs[i+1].kind != msgs[i].kind {
-			sh.tally.Add(msgs[i].kind, uint64(i+1-runStart), runBytes)
-			runStart, runBytes = i+1, 0
-		}
-	}
-	if counting && !sh.inPhase {
-		r.host.cfg.Stats.RecordTally(&sh.tally)
-	}
-	if err == nil && n < len(msgs) {
-		// A short-count batch sender accepted only a prefix without
-		// reporting an error of its own. The remainder never reached the
-		// wire and was not counted above; surface the shortfall so the
-		// caller (Tick, or the attach path) sees the loss instead of a
-		// silently truncated batch.
-		err = fmt.Errorf("ah: batch send accepted %d of %d packets: %w", n, len(msgs), io.ErrShortWrite)
-	}
-	return err
 }
 
 // batchFromUpdates wraps re-captured updates in a batch for encoding.

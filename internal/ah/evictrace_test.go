@@ -23,7 +23,7 @@ func seqOf(t *testing.T, pkt []byte) uint16 {
 // lock while sink teardown (finishEvictions) is still pending — the
 // exact window feedback racing the sweep lands in.
 func markEvicted(h *Host, r *Remote) {
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	if !r.closed {
 		r.closed = true
 		if _, ok := r.sh.remotes[r]; ok {
@@ -32,7 +32,7 @@ func markEvicted(h *Host, r *Remote) {
 			h.nRemotes.Add(-1)
 		}
 	}
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 }
 
 func buildNACK(t *testing.T, r *Remote, seq uint16) []byte {
@@ -62,16 +62,16 @@ func buildPLI(t *testing.T, r *Remote) []byte {
 // landing between an eviction's mark and its sink teardown must produce
 // no traffic toward — and no counters against — the evicted remote.
 func TestEvictedRemoteReceivesNoFeedbackService(t *testing.T) {
-	conn := newFaultConn(false)
+	conn := NewFaultConn(false)
 	h, w, r := attachFault(t, conn)
 
-	seq := seqOf(t, conn.sent[0])
+	seq := seqOf(t, conn.Sent[0])
 	markEvicted(h, r)
-	before := len(conn.sent)
+	before := len(conn.Sent)
 
 	// NACK in the race window: no retransmission.
 	h.HandleFeedback(r, buildNACK(t, r, seq))
-	if got := len(conn.sent); got != before {
+	if got := len(conn.Sent); got != before {
 		t.Fatalf("NACK to evicted remote shipped %d packets", got-before)
 	}
 
@@ -82,7 +82,7 @@ func TestEvictedRemoteReceivesNoFeedbackService(t *testing.T) {
 	if err := h.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(conn.sent); got != before {
+	if got := len(conn.Sent); got != before {
 		t.Fatalf("evicted remote received %d packets after PLI+tick", got-before)
 	}
 
@@ -90,20 +90,20 @@ func TestEvictedRemoteReceivesNoFeedbackService(t *testing.T) {
 	if err := h.RequestRefresh(r); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(conn.sent); got != before {
+	if got := len(conn.Sent); got != before {
 		t.Fatalf("RequestRefresh on evicted remote shipped %d packets", got-before)
 	}
 
 	// A refresh latched before the eviction must not be served after it:
 	// the mark wins regardless of which side latched first.
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	r.refreshRequested = true
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 	w.Fill(region.XYWH(0, 0, 16, 16), red)
 	if err := h.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(conn.sent); got != before {
+	if got := len(conn.Sent); got != before {
 		t.Fatalf("refresh phase shipped %d packets to an evicted refresher", got-before)
 	}
 }
@@ -112,7 +112,7 @@ func TestEvictedRemoteReceivesNoFeedbackService(t *testing.T) {
 // re-opens the fixed race — the knob the netsim mutation check uses to
 // prove its oracle would catch a regression.
 func TestEvictGateDebugKnobReplantsRace(t *testing.T) {
-	conn := newFaultConn(false)
+	conn := NewFaultConn(false)
 	h, w := newHost(t, Config{Retransmissions: true, DebugDisableEvictGates: true})
 	defer h.Close()
 	r, err := h.AttachPacketConn("fault", conn, PacketOptions{})
@@ -123,11 +123,11 @@ func TestEvictGateDebugKnobReplantsRace(t *testing.T) {
 	if err := h.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	seq := seqOf(t, conn.sent[0])
+	seq := seqOf(t, conn.Sent[0])
 	markEvicted(h, r)
-	before := len(conn.sent)
+	before := len(conn.Sent)
 	h.HandleFeedback(r, buildNACK(t, r, seq))
-	if got := len(conn.sent); got != before+1 {
+	if got := len(conn.Sent); got != before+1 {
 		t.Fatalf("with gates disabled, NACK shipped %d packets, want 1 (race re-planted)", got-before)
 	}
 }

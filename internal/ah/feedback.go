@@ -39,8 +39,8 @@ func (h *Host) handleRTCP(r *Remote, pkt []byte) {
 	// Feedback touches only per-remote state, so it contends with
 	// fan-out on this remote's shard alone — a NACK storm from viewers
 	// on one shard leaves the other shards' deliveries unobstructed.
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	if r.closed && !h.cfg.DebugDisableEvictGates {
 		// Feedback can race eviction: sweepHealth marks the remote closed
 		// under the shard lock, but the sink teardown happens later,
@@ -63,23 +63,19 @@ func (h *Host) handleRTCP(r *Remote, pkt []byte) {
 			// already-scrolled pixels). The request is latched and
 			// served at the start of the next Tick, after the journal
 			// batch. PLIs inside the rate-limit window are absorbed.
-			now := h.cfg.Now()
-			if h.cfg.MinRefreshInterval > 0 && !r.lastRefresh.IsZero() &&
-				now.Sub(r.lastRefresh) < h.cfg.MinRefreshInterval {
-				r.absorbedPLIs++
+			if !r.st.AdmitPLI(h.cfg.Now(), h.cfg.MinRefreshInterval) {
 				continue
 			}
-			r.lastRefresh = now
 			r.refreshRequested = true
 			h.record("PLI-handled", len(pkt))
 		case *rtcp.NACK:
 			if h.cfg.Retransmissions {
-				_ = r.resend(fb.Lost())
+				_ = r.st.Resend(fb.Lost())
 				h.record("NACK-handled", len(pkt))
 			}
 		case *rtcp.ReceiverReport:
 			for _, rep := range fb.Reports {
-				if rep.SSRC == r.pz.SSRC() {
+				if rep.SSRC == r.st.Packetizer.SSRC() {
 					r.noteReceiverReport(rep, h.cfg.Now())
 				}
 			}
@@ -112,10 +108,10 @@ func (h *Host) handleHIP(r *Remote, pkt []byte) {
 	// Two independent critical sections: the liveness stamp lives under
 	// the remote's shard lock, the input queue under h.mu. Holding the
 	// shard lock across the h.mu acquisition would invert the documented
-	// lock order (mu → shard.mu).
-	r.sh.mu.Lock()
+	// lock order (mu → shard.Mu).
+	r.sh.Mu.Lock()
 	r.noteHeardLocked(h.cfg.Now())
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.hipQueue) >= maxHIPQueue {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"appshare/internal/core"
+	"appshare/internal/fanout"
 	"appshare/internal/remoting"
 	"appshare/internal/rtp"
 )
@@ -18,20 +19,17 @@ import (
 // re-stamping happens downstream.
 
 // PreparedPayload is one marshalled remoting payload (a whole message
-// or one fragment) of a published batch. Payload is shared with every
-// other subscriber and the host's own fan-out: receivers MUST treat it
-// as read-only. Marker carries the Table 2 marker-bit ruling and Kind
-// the message kind for stats.
-type PreparedPayload struct {
-	Payload []byte
-	Marker  bool
-	Kind    string
-}
+// or one fragment) of a prepared batch: the one payload type the host's
+// own fan-out, every forwarder and every relay pass around, untouched.
+type PreparedPayload = fanout.Payload
 
 // Forwarder receives a stream's prepared batches. Both methods are
 // called on the host's Tick goroutine, outside all host locks, in tick
 // order; a forwarder that must not block the origin re-fans on its own
-// goroutines.
+// goroutines. msgs and the payload bytes it holds are shared with every
+// other subscriber and the host's own fan-out: a forwarder may keep the
+// slice (a relay caches refresh snapshots) but MUST treat it as
+// read-only.
 type Forwarder interface {
 	// ForwardBatch delivers one tick's prepared payloads for the stream.
 	ForwardBatch(streamID uint32, msgs []PreparedPayload) error
@@ -104,25 +102,14 @@ func (h *Host) takeForwardState() ([]Forwarder, bool) {
 	return fwds, refresh
 }
 
-// exportPrepared adapts the internal prepared batch to the published
-// representation. The payload bytes are shared, not copied.
-func exportPrepared(prep *preparedBatch) []PreparedPayload {
-	out := make([]PreparedPayload, len(prep.msgs))
-	for i, m := range prep.msgs {
-		out[i] = PreparedPayload{Payload: m.payload, Marker: m.marker, Kind: m.kind}
-	}
-	return out
-}
-
 // forwardBatch publishes one tick's prepared batch to the forwarders.
 func (h *Host) forwardBatch(fwds []Forwarder, prep *preparedBatch) error {
 	if len(fwds) == 0 || len(prep.msgs) == 0 {
 		return nil
 	}
-	msgs := exportPrepared(prep)
 	var firstErr error
 	for _, f := range fwds {
-		if err := f.ForwardBatch(h.cfg.StreamID, msgs); err != nil && firstErr == nil {
+		if err := f.ForwardBatch(h.cfg.StreamID, prep.msgs); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -134,10 +121,9 @@ func (h *Host) forwardRefresh(fwds []Forwarder, prep *preparedBatch) error {
 	if len(fwds) == 0 {
 		return nil
 	}
-	msgs := exportPrepared(prep)
 	var firstErr error
 	for _, f := range fwds {
-		if err := f.ForwardRefresh(h.cfg.StreamID, msgs); err != nil && firstErr == nil {
+		if err := f.ForwardRefresh(h.cfg.StreamID, prep.msgs); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -172,9 +158,9 @@ func (h *Host) maybeRelaySubscribe(r *Remote, pkt []byte) bool {
 		return true
 	}
 	fwd := &remoteForwarder{h: h, r: r}
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	if r.closed {
-		r.sh.mu.Unlock()
+		r.sh.Mu.Unlock()
 		return true
 	}
 	already := r.forwardOnly
@@ -187,7 +173,7 @@ func (h *Host) maybeRelaySubscribe(r *Remote, pkt []byte) bool {
 			RemotingPT: h.cfg.RemotingPT,
 		}, nil)
 	}
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 	if !already {
 		h.AttachForwarder(fwd)
 	}
@@ -237,8 +223,8 @@ func (f *remoteForwarder) ForwardRefresh(streamID uint32, msgs []PreparedPayload
 // send ships an optional descriptor followed by the payloads over the
 // remote's stream.
 func (f *remoteForwarder) send(desc *remoting.StreamDescriptor, msgs []PreparedPayload) error {
-	f.r.sh.mu.Lock()
-	defer f.r.sh.mu.Unlock()
+	f.r.sh.Mu.Lock()
+	defer f.r.sh.Mu.Unlock()
 	if f.r.closed {
 		// The relay link died; drop the subscription. DetachForwarder
 		// only takes fwdMu, which is never acquired before a shard lock.
@@ -248,18 +234,17 @@ func (f *remoteForwarder) send(desc *remoting.StreamDescriptor, msgs []PreparedP
 	return f.sendLocked(desc, msgs)
 }
 
-// sendLocked marshals and ships under the remote's shard lock.
+// sendLocked ships under the remote's shard lock. A tick's batch goes
+// out as the slice the host published; a descriptor leads its snapshot
+// in the same sink batch, under the same timestamp.
 func (f *remoteForwarder) sendLocked(desc *remoting.StreamDescriptor, msgs []PreparedPayload) error {
-	pm := make([]preparedMessage, 0, len(msgs)+1)
 	if desc != nil {
 		payload, err := desc.Marshal()
 		if err != nil {
 			return err
 		}
-		pm = append(pm, preparedMessage{payload: payload, kind: "StreamDescriptor"})
+		head := PreparedPayload{Payload: payload, Kind: "StreamDescriptor"}
+		msgs = append(append(make([]PreparedPayload, 0, len(msgs)+1), head), msgs...)
 	}
-	for _, m := range msgs {
-		pm = append(pm, preparedMessage{payload: m.Payload, marker: m.Marker, kind: m.Kind})
-	}
-	return f.r.sendPrepared(pm)
+	return f.r.st.Send(msgs)
 }

@@ -170,11 +170,11 @@ func (h *Host) RemoteHealth() []RemoteHealth {
 	now := h.cfg.Now()
 	out := make([]RemoteHealth, 0, h.Participants()+evictLogMax/4)
 	for _, s := range h.shards {
-		s.mu.Lock()
+		s.Mu.Lock()
 		for r := range s.remotes {
 			out = append(out, r.healthSnapshotLocked(now))
 		}
-		s.mu.Unlock()
+		s.Mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	h.mu.Lock()
@@ -185,8 +185,8 @@ func (h *Host) RemoteHealth() []RemoteHealth {
 
 // Health returns this remote's current health snapshot.
 func (r *Remote) Health() RemoteHealth {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	return r.healthSnapshotLocked(r.host.cfg.Now())
 }
 
@@ -211,8 +211,8 @@ func (r *Remote) healthSnapshotLocked(now time.Time) RemoteHealth {
 		DeferStreak:     r.deferStreak,
 		MaxDeferStreak:  r.maxDeferStreak,
 		Deferrals:       r.deferrals,
-		SentPackets:     r.sentPackets,
-		SentOctets:      r.sentOctets,
+		SentPackets:     r.st.SentPackets,
+		SentOctets:      r.st.SentOctets,
 		DrainedBytes:    drained,
 		DiscardedBytes:  discarded,
 		EvictReason:     r.evictReason,
@@ -267,7 +267,7 @@ type evicted struct {
 func (h *Host) sweepHealth(now time.Time) []evicted {
 	var out []evicted
 	for _, s := range h.shards {
-		s.mu.Lock()
+		s.Mu.Lock()
 		for r := range s.remotes {
 			// Dwell clock: starts when the sink first reports backlog above
 			// limit and clears as soon as it drops back under.
@@ -306,7 +306,7 @@ func (h *Host) sweepHealth(now time.Time) []evicted {
 				h.record("HealthDegrade", r.sink.queued())
 			}
 		}
-		s.mu.Unlock()
+		s.Mu.Unlock()
 	}
 	if len(out) > 0 {
 		h.mu.Lock()

@@ -273,9 +273,9 @@ func TestLivenessDegradeThenRecover(t *testing.T) {
 		t.Fatalf("deferral streak not tracked: %+v", hs)
 	}
 	// Keyframe-only mode must not hoard pending regions.
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	pendingEmpty := r.pending.Empty()
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 	if !pendingEmpty {
 		t.Fatal("degraded remote still accumulates pending regions")
 	}
@@ -473,13 +473,13 @@ func TestLivenessNACKStormDetachRace(t *testing.T) {
 // paths stamp into a reused arena).
 type captureSink struct{ pkts [][]byte }
 
-func (c *captureSink) ship(p []byte) error {
+func (c *captureSink) Send(p []byte) error {
 	c.pkts = append(c.pkts, append([]byte(nil), p...))
 	return nil
 }
-func (c *captureSink) shipBatch(ps [][]byte) (int, error) {
+func (c *captureSink) SendBatch(ps [][]byte) (int, error) {
 	for _, p := range ps {
-		_ = c.ship(p)
+		_ = c.Send(p)
 	}
 	return len(ps), nil
 }
@@ -500,7 +500,7 @@ func TestLivenessRetransLogSeqWrapReuse(t *testing.T) {
 	r := h.newRemote("wrap", 0, cs)
 
 	log := func(seq uint16, tag byte) {
-		r.retrans.Put(rtp.LoggedPacket{Seq: seq, Payload: []byte{tag}})
+		r.st.Retrans.Put(rtp.LoggedPacket{Seq: seq, Payload: []byte{tag}})
 	}
 	log(1, 'a')
 	log(2, 'a')
@@ -514,9 +514,9 @@ func TestLivenessRetransLogSeqWrapReuse(t *testing.T) {
 	resend := func(seq uint16) [][]byte {
 		t.Helper()
 		cs.pkts = nil
-		r.sh.mu.Lock()
-		defer r.sh.mu.Unlock()
-		if err := r.resend([]uint16{seq}); err != nil {
+		r.sh.Mu.Lock()
+		defer r.sh.Mu.Unlock()
+		if err := r.st.Resend([]uint16{seq}); err != nil {
 			t.Fatal(err)
 		}
 		return cs.pkts
@@ -539,7 +539,7 @@ func TestLivenessRetransLogSeqWrapReuse(t *testing.T) {
 	if got := resend(1); len(got) != 0 {
 		t.Fatal("evicted sequence still served from the log")
 	}
-	if n := r.retrans.Len(); n != 4 {
+	if n := r.st.Retrans.Len(); n != 4 {
 		t.Fatalf("log holds %d packets, want its bound of 4", n)
 	}
 }

@@ -186,8 +186,8 @@ func (r *Remote) effectiveTierLocked() QualityTier {
 // QualityTier returns the remote's current ladder rung (TierFull when
 // the ladder is disabled and the remote is healthy).
 func (r *Remote) QualityTier() QualityTier {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	return r.effectiveTierLocked()
 }
 
@@ -203,8 +203,8 @@ func (r *Remote) PinQualityTier(t QualityTier) {
 	if t > TierKeyframeOnly {
 		t = TierKeyframeOnly
 	}
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	now := r.host.cfg.Now()
 	from := r.tier
 	r.tierPinned = true

@@ -22,8 +22,8 @@ type ctrlSink struct {
 	queuedN   int
 }
 
-func (c *ctrlSink) ship(p []byte) error                { return nil }
-func (c *ctrlSink) shipBatch(ps [][]byte) (int, error) { return len(ps), nil }
+func (c *ctrlSink) Send(p []byte) error                { return nil }
+func (c *ctrlSink) SendBatch(ps [][]byte) (int, error) { return len(ps), nil }
 func (c *ctrlSink) backlogged(int) bool                { return c.congested }
 func (c *ctrlSink) queued() int                        { return c.queuedN }
 func (c *ctrlSink) stalled() time.Duration             { return c.stall }
@@ -86,9 +86,9 @@ func TestLadderDemoteThroughTiersAndRecover(t *testing.T) {
 		// Seed pending detail once the remote reaches the scaled tier, so
 		// the keyframe-tier purge below has something to purge.
 		if r.QualityTier() == TierScaled {
-			r.sh.mu.Lock()
+			r.sh.Mu.Lock()
 			r.pending.Add(region.XYWH(0, 0, 16, 16))
-			r.sh.mu.Unlock()
+			r.sh.Mu.Unlock()
 		}
 		clock.Advance(50 * time.Millisecond)
 		ladderSweep(h)
@@ -114,9 +114,9 @@ func TestLadderDemoteThroughTiersAndRecover(t *testing.T) {
 		t.Fatalf("health snapshot tier fields = %v/%d/%d, want keyframe/3/0",
 			hs.Tier, hs.TierTransitions, hs.TierFlaps)
 	}
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	pendingEmpty := r.pending.Empty()
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 	if !pendingEmpty {
 		t.Fatal("entering the keyframe tier must purge accumulated pending detail")
 	}
@@ -149,9 +149,9 @@ func TestLadderDemoteThroughTiersAndRecover(t *testing.T) {
 		t.Fatalf("after recovery: state=%v tier=%v transitions=%d, want healthy/full/6",
 			hs.State, hs.Tier, hs.TierTransitions)
 	}
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	refresh, resync := r.refreshRequested, r.needResync
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 	if !refresh || resync {
 		t.Fatalf("promotion out of a lossy tier must latch the refresh and clear needResync (refresh=%v resync=%v)",
 			refresh, resync)
@@ -173,10 +173,10 @@ func TestLadderLossSignalAndHysteresisBand(t *testing.T) {
 	h, r, _, clock, _ := newLadderHarness(t, lc)
 
 	setLoss := func(frac uint8) {
-		r.sh.mu.Lock()
+		r.sh.Mu.Lock()
 		r.lastRR = ReceptionQuality{FractionLost: frac, Valid: true}
 		r.lastRRAt = clock.Now()
-		r.sh.mu.Unlock()
+		r.sh.Mu.Unlock()
 	}
 
 	// 25% loss (64/256) ≥ LossDemote: demote on streak.
@@ -244,8 +244,8 @@ func TestLadderFlapBackoffDoublesPromoteWait(t *testing.T) {
 		}
 	}
 	promoteWait := func() time.Duration {
-		r.sh.mu.Lock()
-		defer r.sh.mu.Unlock()
+		r.sh.Mu.Lock()
+		defer r.sh.Mu.Unlock()
 		return r.promoteWait
 	}
 
@@ -294,10 +294,10 @@ func TestLadderFlapBackoffDoublesPromoteWait(t *testing.T) {
 
 	// The backoff cap: a flap with the backoff near MaxPromoteWait clamps
 	// at the cap instead of doubling past it.
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	r.promoteWait = lc.MaxPromoteWait - 200*time.Millisecond
 	r.lastPromoteAt = clock.Now()
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 	driveTo(TierDecimated, true)
 	if got := promoteWait(); got != lc.MaxPromoteWait {
 		t.Fatalf("promoteWait after flap near cap = %v, want clamp at %v", got, lc.MaxPromoteWait)

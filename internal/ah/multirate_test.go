@@ -91,7 +91,7 @@ func TestMulticastRateTiers(t *testing.T) {
 
 // pendingEmpty reports whether the remote has no deferred regions.
 func (r *Remote) pendingEmpty() bool {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	return r.pending.Empty() && !r.pendingPointer
 }

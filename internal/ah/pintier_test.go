@@ -96,7 +96,7 @@ func TestPinnedScaledRefreshPhaseIsDegraded(t *testing.T) {
 	h, w := newHost(t, Config{})
 	defer h.Close()
 
-	conn := newFaultConn(false)
+	conn := NewFaultConn(false)
 	r, err := h.AttachPacketConn("scaled-udp", conn, PacketOptions{PinTier: TierScaled})
 	if err != nil {
 		t.Fatal(err)
@@ -113,21 +113,21 @@ func TestPinnedScaledRefreshPhaseIsDegraded(t *testing.T) {
 	}
 
 	// Latch the refresh (the PLI action) and serve it next tick.
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	r.refreshRequested = true
-	r.sh.mu.Unlock()
-	before := len(conn.sent)
+	r.sh.Mu.Unlock()
+	before := len(conn.Sent)
 	if err := h.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if len(conn.sent) == before {
+	if len(conn.Sent) == before {
 		t.Fatal("refresh phase served nothing")
 	}
 
 	// Feed the refresh packets to a participant; the result must be
 	// block-uniform where the host has stripes.
 	p := participant.New(participant.Config{})
-	for _, pkt := range conn.sent {
+	for _, pkt := range conn.Sent {
 		_ = p.HandlePacket(pkt)
 	}
 	img := p.WindowImage(w.ID())

@@ -7,6 +7,7 @@ import (
 
 	"appshare/internal/capture"
 	"appshare/internal/codec"
+	"appshare/internal/fanout"
 	"appshare/internal/framing"
 	"appshare/internal/region"
 	"appshare/internal/rtp"
@@ -14,18 +15,10 @@ import (
 )
 
 // sink ships encoded RTP/RTCP packets toward one participant (or one
-// multicast group). Like the transport beneath it (see
-// transport.PacketConn.Send), a sink copies or writes a packet before
-// returning and never keeps or changes the caller's slice: the send
-// paths hand it memory from the shard arena.
+// multicast group) — the stream core's fanout.Sink — and reports the
+// congestion signals the host's delivery policy reads.
 type sink interface {
-	// ship sends one packet.
-	ship(pkt []byte) error
-	// shipBatch sends a run of packets, aggregated into as few wire
-	// operations as the transport allows (one writev-style stream write,
-	// one batched datagram send). It returns how many packets the sink
-	// accepted; accounting must cover exactly those.
-	shipBatch(pkts [][]byte) (int, error)
+	fanout.Sink
 	// backlogged reports whether screen data should be deferred right
 	// now (Section 7 for TCP; rate budget for UDP).
 	backlogged(pending int) bool
@@ -46,25 +39,31 @@ type sink interface {
 	close() error
 }
 
-// Remote is one attached participant (or multicast group) with its own
-// RTP stream state, deferral bookkeeping and retransmission log.
+// Remote is one attached participant (or multicast group): an RTP stream
+// plus the host's delivery policy for it — deferral bookkeeping, health
+// and ladder state, tile seen-set.
 type Remote struct {
 	host *Host
 	// sh is the shard this remote is assigned to (round-robin at
-	// creation, immutable). sh.mu guards all mutable per-remote state
-	// below — the stream state (pz, pending, retrans), the health and
-	// ladder clocks, and the counters.
+	// creation, immutable). sh.Mu guards all mutable per-remote state
+	// below — the stream, the pending set, the health and ladder clocks,
+	// and the counters.
 	sh     *shard
 	id     string
 	userID uint16
-	sink   sink
-	pz     *rtp.Packetizer
+	// sink is st.Sink under the host's wider interface; the two change
+	// together (ResumePacketConn).
+	sink sink
+	// st is the RTP stream: packetizer, retransmission log (UDP
+	// participants, Section 5.3.2; nil with retransmissions off), sent
+	// counters and the PLI limiter (Config.MinRefreshInterval).
+	st fanout.Stream
 
 	// tileSeen is the tile-store seen-set of this remote — the tiles it
 	// has received at full fidelity this session, in arrival order (see
 	// tilestore.go). nil unless both the host config and the remote's
 	// attach options enabled the store. tileRefs counts substituted
-	// TileReference messages. Guarded by sh.mu.
+	// TileReference messages. Guarded by sh.Mu.
 	tileSeen *codec.TileDict
 	tileRefs uint64
 
@@ -74,7 +73,7 @@ type Remote struct {
 	pendingPointer bool
 	deferrals      uint64
 
-	// Health/liveness tracking (see health.go); guarded by sh.mu.
+	// Health/liveness tracking (see health.go); guarded by sh.Mu.
 	health           HealthState
 	healthSince      time.Time
 	attachedAt       time.Time
@@ -87,7 +86,7 @@ type Remote struct {
 	needResync       bool
 	evictReason      string
 
-	// Quality-ladder state (see ladder.go); guarded by sh.mu.
+	// Quality-ladder state (see ladder.go); guarded by sh.Mu.
 	tier            QualityTier
 	tierSince       time.Time
 	tierPinned      bool
@@ -99,20 +98,10 @@ type Remote struct {
 	tierFlaps       uint64
 	decimTicks      int
 
-	// Retransmission log (UDP participants, Section 5.3.2): the last
-	// Config.RetransLog packets by sequence number, each a reference to
-	// its shared prepared payload. nil with retransmissions off.
-	retrans *rtp.RetransLog
+	// lastRR is the most recent RTCP receiver report.
+	lastRR ReceptionQuality
 
-	// RTCP state.
-	sentPackets uint64
-	sentOctets  uint64
-	lastRR      ReceptionQuality
-
-	// PLI rate limiting (Config.MinRefreshInterval) and deferred
-	// refresh service (answered at the next Tick).
-	lastRefresh      time.Time
-	absorbedPLIs     uint64
+	// refreshRequested latches an admitted PLI for the next Tick.
 	refreshRequested bool
 
 	// forwardOnly marks a remote that completed the RelaySubscribe
@@ -132,12 +121,12 @@ func (r *Remote) UserID() uint16 { return r.userID }
 
 // SSRC returns the RTP synchronization source of the remoting stream
 // sent to this participant.
-func (r *Remote) SSRC() uint32 { return r.pz.SSRC() }
+func (r *Remote) SSRC() uint32 { return r.st.Packetizer.SSRC() }
 
 // Deferrals reports how many ticks deferred screen data due to backlog.
 func (r *Remote) Deferrals() uint64 {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	return r.deferrals
 }
 
@@ -148,40 +137,40 @@ func (r *Remote) QueuedBytes() int { return r.sink.queued() }
 // AbsorbedPLIs reports how many PLIs were answered by an
 // already-in-flight refresh under the rate limit.
 func (r *Remote) AbsorbedPLIs() uint64 {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
-	return r.absorbedPLIs
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
+	return r.st.AbsorbedPLIs
 }
 
 // Close detaches the remote from the host and closes its transport.
 func (r *Remote) Close() error {
 	r.host.dropRemote(r)
-	r.sh.mu.Lock()
+	r.sh.Mu.Lock()
 	if r.closed {
-		r.sh.mu.Unlock()
+		r.sh.Mu.Unlock()
 		return nil
 	}
 	r.closed = true
-	r.sh.mu.Unlock()
+	r.sh.Mu.Unlock()
 	return r.sink.close()
 }
 
 // newRemote wires common remote state. Callers hold no locks.
 func (h *Host) newRemote(id string, userID uint16, s sink) *Remote {
-	ent := h.cfg.Entropy
-	r := &Remote{
+	sh := h.shardFor()
+	retransLog := 0
+	if h.cfg.Retransmissions {
+		retransLog = h.cfg.RetransLog
+	}
+	return &Remote{
 		host:    h,
-		sh:      h.shardFor(),
+		sh:      sh,
 		id:      id,
 		userID:  userID,
 		sink:    s,
-		pz:      rtp.NewPacketizerFrom(ent, rtp.NewSSRCFrom(ent), h.cfg.RemotingPT, h.cfg.Now()),
+		st:      fanout.NewStream(&sh.Shard, s, h.cfg.Entropy, h.cfg.RemotingPT, retransLog),
 		pending: region.NewSet(),
 	}
-	if h.cfg.Retransmissions {
-		r.retrans = rtp.NewRetransLog(h.cfg.RetransLog)
-	}
-	return r
 }
 
 // deliver sends one capture batch to the participant, deferring screen
@@ -219,12 +208,12 @@ func (r *Remote) deliver(b *capture.Batch, prep *preparedBatch) error {
 			r.pending.Clear()
 			r.pendingPointer = false
 			r.needResync = true
-			return r.sendPrepared(prep.wmOnly())
+			return r.st.Send(prep.wmOnly())
 		}
 		// Link drained below the limit: promote back to healthy and let
 		// this Tick's refresh pass send the keyframe.
 		r.host.recoverLocked(r, r.host.cfg.Now())
-		return r.sendPrepared(prep.wmOnly())
+		return r.st.Send(prep.wmOnly())
 
 	case TierScaled:
 		// Pixelated delivery: fold this batch into the pending set and
@@ -233,10 +222,10 @@ func (r *Remote) deliver(b *capture.Batch, prep *preparedBatch) error {
 		// the flushed updates already carry post-move content.
 		if backlogged {
 			r.deferScreenData(b)
-			return r.sendPrepared(prep.wmOnly())
+			return r.st.Send(prep.wmOnly())
 		}
 		r.foldScreenData(b)
-		if err := r.sendPrepared(prep.wmOnly()); err != nil {
+		if err := r.st.Send(prep.wmOnly()); err != nil {
 			return err
 		}
 		block := r.host.scaleBlock()
@@ -255,7 +244,7 @@ func (r *Remote) deliver(b *capture.Batch, prep *preparedBatch) error {
 			} else {
 				r.foldScreenData(b)
 			}
-			return r.sendPrepared(prep.wmOnly())
+			return r.st.Send(prep.wmOnly())
 		}
 		// On-cycle: fall through to the full-fidelity path below.
 	}
@@ -264,7 +253,7 @@ func (r *Remote) deliver(b *capture.Batch, prep *preparedBatch) error {
 		r.deferScreenData(b)
 		// Window state is tiny and ordering-critical; it still goes
 		// out so the participant tracks structure while pixels wait.
-		return r.sendPrepared(prep.wmOnly())
+		return r.st.Send(prep.wmOnly())
 	}
 
 	// Link is clear. With deferred regions outstanding, this batch's
@@ -277,12 +266,12 @@ func (r *Remote) deliver(b *capture.Batch, prep *preparedBatch) error {
 	// data"). Window state still leads the flush.
 	if !r.pending.Empty() || r.pendingPointer {
 		r.foldScreenData(b)
-		if err := r.sendPrepared(prep.wmOnly()); err != nil {
+		if err := r.st.Send(prep.wmOnly()); err != nil {
 			return err
 		}
 		return r.flushPending()
 	}
-	return r.sendPrepared(r.tileCompose(prep, true))
+	return r.st.Send(r.tileCompose(prep, true))
 }
 
 // deferScreenData folds the batch into the pending set AND counts a
@@ -341,7 +330,7 @@ func (r *Remote) flushPendingWith(encode func(region.Rect) ([]capture.Update, er
 // sendBatch marshals and ships a batch to this remote alone, routing it
 // through the tile store (allowRefs false on refresh paths, which must
 // carry real pixels). The owning shard's lock is held. (Tick's fan-out
-// paths marshal once via prepareBatch and call sendPrepared directly.)
+// paths marshal once via prepareBatch and send the result directly.)
 func (r *Remote) sendBatch(b *capture.Batch, allowRefs bool) error {
 	var ts *TileStoreConfig
 	if r.tileSeen != nil {
@@ -351,7 +340,7 @@ func (r *Remote) sendBatch(b *capture.Batch, allowRefs bool) error {
 	if err != nil {
 		return err
 	}
-	return r.sendPrepared(r.tileCompose(prep, allowRefs))
+	return r.st.Send(r.tileCompose(prep, allowRefs))
 }
 
 // fullRefresh sends the complete state to this remote (PLI service and
@@ -390,30 +379,6 @@ func (r *Remote) fullRefresh() error {
 	return r.sendBatch(b, false)
 }
 
-// resend services a NACK for the given sequence numbers from the
-// retransmission log: each packet still logged is re-stamped into the
-// shard's arena — byte-equal to the datagram first sent — and shipped.
-// Unknown sequences (already evicted) are skipped, as the draft permits
-// ("AHs MAY support retransmissions"). Shard lock held.
-func (r *Remote) resend(seqs []uint16) error {
-	if r.retrans == nil {
-		return nil
-	}
-	arena := &r.sh.arena
-	for _, s := range seqs {
-		e, ok := r.retrans.Get(s)
-		if !ok {
-			continue
-		}
-		pkt := arena.Restamp(r.pz, e)
-		if err := r.sink.ship(pkt); err != nil {
-			return err
-		}
-		r.host.record("Retransmission", len(pkt))
-	}
-	return nil
-}
-
 // approxBatchSize estimates the wire size of a batch for rate budgeting.
 func approxBatchSize(b *capture.Batch) int {
 	n := 0
@@ -442,14 +407,14 @@ type streamSink struct {
 	noDefer bool
 }
 
-func (s *streamSink) ship(pkt []byte) error { return s.framer.WriteFrame(pkt) }
+func (s *streamSink) Send(pkt []byte) error { return s.framer.WriteFrame(pkt) }
 
-// shipBatch concatenates the frames and hands them to the RatedWriter in
+// SendBatch concatenates the frames and hands them to the RatedWriter in
 // ONE write — the writev analogue for the modeled TCP send buffer. The
 // byte stream is identical to per-frame writes (RFC 4571 framing is
 // position-independent), and the write is all-or-nothing, so either
 // every packet is accepted or none is.
-func (s *streamSink) shipBatch(pkts [][]byte) (int, error) {
+func (s *streamSink) SendBatch(pkts [][]byte) (int, error) {
 	if err := s.framer.WriteFrames(pkts); err != nil {
 		return 0, err
 	}
@@ -607,14 +572,14 @@ func (h *Host) BindHIPStream(r *Remote, rw io.ReadCloser) {
 // FindRemote returns the attached remote with the given ID, or nil.
 func (h *Host) FindRemote(id string) *Remote {
 	for _, s := range h.shards {
-		s.mu.Lock()
+		s.Mu.Lock()
 		for r := range s.remotes {
 			if r.id == id {
-				s.mu.Unlock()
+				s.Mu.Unlock()
 				return r
 			}
 		}
-		s.mu.Unlock()
+		s.Mu.Unlock()
 	}
 	return nil
 }
@@ -638,17 +603,18 @@ type PacketOptions struct {
 
 // packetSink ships datagrams with an AH-enforced rate budget.
 type packetSink struct {
-	conn transport.PacketConn
-	// batch is conn's batched-send fast path, resolved once at attach
-	// (nil when the conn only supports Send).
-	batch  transport.BatchSender
+	conn   transport.Batched
 	rate   int
 	tokens float64
 	last   time.Time
 	now    func() time.Time
 }
 
-func (s *packetSink) ship(pkt []byte) error {
+func (h *Host) newPacketSink(conn transport.PacketConn, rate int) *packetSink {
+	return &packetSink{conn: transport.Batch(conn), rate: rate, now: h.cfg.Now}
+}
+
+func (s *packetSink) Send(pkt []byte) error {
 	if s.rate > 0 {
 		s.refill()
 		s.tokens -= float64(len(pkt))
@@ -656,30 +622,14 @@ func (s *packetSink) ship(pkt []byte) error {
 	return s.conn.Send(pkt)
 }
 
-// shipBatch sends a run of datagrams through the conn's BatchSender
-// when it has one (one endpoint lock acquisition per batch instead of
-// per packet), falling back to per-packet sends otherwise. The token
-// budget is charged for exactly the packets the transport accepted —
-// the same per-packet accounting ship() does — so a mid-run send error
-// or a short-count batch sender cannot leave the bucket charged for
-// datagrams that never reached the wire.
-func (s *packetSink) shipBatch(pkts [][]byte) (int, error) {
-	var n int
-	var err error
-	if s.batch != nil {
-		n, err = s.batch.SendBatch(pkts)
-		if n > len(pkts) {
-			n = len(pkts)
-		}
-	} else {
-		n = len(pkts)
-		for i, p := range pkts {
-			if e := s.conn.Send(p); e != nil {
-				n, err = i, e
-				break
-			}
-		}
-	}
+// SendBatch sends a run of datagrams (one endpoint lock acquisition per
+// batch instead of per packet where the conn batches; see
+// transport.Batched). The token budget is charged for exactly the
+// packets the transport accepted — the same per-packet accounting Send
+// does — so a mid-run send error or a short-count batch sender cannot
+// leave the bucket charged for datagrams that never reached the wire.
+func (s *packetSink) SendBatch(pkts [][]byte) (int, error) {
+	n, err := s.conn.SendBatch(pkts)
 	if s.rate > 0 && n > 0 {
 		s.refill()
 		for _, p := range pkts[:n] {
@@ -726,10 +676,7 @@ func (s *packetSink) close() error { return s.conn.Close() }
 // goroutines, and only the Tick caller's goroutine may observe the
 // desktop (keep driving Tick at your frame rate).
 func (h *Host) AttachPacketConn(id string, conn transport.PacketConn, opts PacketOptions) (*Remote, error) {
-	s := &packetSink{conn: conn, rate: opts.BytesPerSecond, now: h.cfg.Now}
-	if bs, ok := conn.(transport.BatchSender); ok {
-		s.batch = bs
-	}
+	s := h.newPacketSink(conn, opts.BytesPerSecond)
 	r := h.newRemote(id, opts.UserID, s)
 	if opts.TileStore && h.cfg.TileStore != nil {
 		r.tileSeen = codec.NewTileDict(h.cfg.TileStore.DictCapacity)
@@ -770,7 +717,7 @@ type busSink struct {
 	budget *packetSink // nil when unlimited; reused for its token bucket
 }
 
-func (s *busSink) ship(pkt []byte) error {
+func (s *busSink) Send(pkt []byte) error {
 	if s.budget != nil {
 		s.budget.refill()
 		s.budget.tokens -= float64(len(pkt))
@@ -779,9 +726,9 @@ func (s *busSink) ship(pkt []byte) error {
 	return nil
 }
 
-func (s *busSink) shipBatch(pkts [][]byte) (int, error) {
+func (s *busSink) SendBatch(pkts [][]byte) (int, error) {
 	for _, p := range pkts {
-		_ = s.ship(p)
+		_ = s.Send(p)
 	}
 	return len(pkts), nil
 }
@@ -824,16 +771,16 @@ func (h *Host) AttachMulticast(id string, bus *transport.Bus, opts ...MulticastO
 // TCP joining flow of Section 4.4 ("right after the TCP connection
 // establishment").
 func (h *Host) initialState(r *Remote) error {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	return r.fullRefresh()
 }
 
 // RequestRefresh performs the PLI action for a remote directly (useful
 // for multicast groups whose feedback arrives out of band).
 func (h *Host) RequestRefresh(r *Remote) error {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	if r.closed {
 		// Same race as the feedback path: the remote may be marked
 		// evicted while its sink teardown is still pending.

@@ -19,16 +19,16 @@ func (h *Host) SendReports() error {
 	now := h.cfg.Now()
 	var firstErr error
 	for _, s := range h.shards {
-		s.mu.Lock()
+		s.Mu.Lock()
 		for r := range s.remotes {
 			sr := &rtcp.SenderReport{
-				SSRC:        r.pz.SSRC(),
+				SSRC:        r.st.Packetizer.SSRC(),
 				NTPTime:     rtcp.NTPTime(now),
 				RTPTime:     0, // media clock origin is random; receivers use NTP
-				PacketCount: uint32(r.sentPackets),
-				OctetCount:  uint32(r.sentOctets),
+				PacketCount: uint32(r.st.SentPackets),
+				OctetCount:  uint32(r.st.SentOctets),
 			}
-			sdes := &rtcp.SDES{SSRC: r.pz.SSRC(), CNAME: h.cfg.CNAME}
+			sdes := &rtcp.SDES{SSRC: r.st.Packetizer.SSRC(), CNAME: h.cfg.CNAME}
 			pkt, err := rtcp.Marshal(sr, sdes)
 			if err != nil {
 				if firstErr == nil {
@@ -36,7 +36,7 @@ func (h *Host) SendReports() error {
 				}
 				continue
 			}
-			if err := r.sink.ship(pkt); err != nil {
+			if err := r.sink.Send(pkt); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
@@ -44,7 +44,7 @@ func (h *Host) SendReports() error {
 			}
 			h.record("SenderReport", len(pkt))
 		}
-		s.mu.Unlock()
+		s.Mu.Unlock()
 	}
 	return firstErr
 }
@@ -62,8 +62,8 @@ type ReceptionQuality struct {
 // LastReceiverReport returns the most recent reception quality this
 // remote reported, if any.
 func (r *Remote) LastReceiverReport() ReceptionQuality {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	return r.lastRR
 }
 

@@ -5,8 +5,7 @@ import (
 	"sync/atomic"
 
 	"appshare/internal/capture"
-	"appshare/internal/rtp"
-	"appshare/internal/stats"
+	"appshare/internal/fanout"
 )
 
 // Sharded send path (see DESIGN.md "Sharded send path"). The remote set
@@ -16,14 +15,17 @@ import (
 // attach/detach/feedback on one shard no longer contends with fan-out on
 // another.
 //
-// Lock order: tickMu → h.mu → shard.mu → capMu. Global operations that
+// Lock order: tickMu → h.mu → shard.Mu → capMu. Global operations that
 // visit every shard (uniqueness scans, snapshots, Close) hold h.mu or
 // nothing and take the shard locks one at a time; no path ever holds two
 // shard locks at once.
 
-// shard owns one slice of the remote set.
+// shard owns one slice of the remote set: the scaffold every subscriber
+// set shares (lock, send arena, per-phase stats tally — see
+// fanout.Shard) plus the host's members, sender goroutine and refresh
+// hand-off.
 type shard struct {
-	mu      sync.Mutex
+	fanout.Shard
 	remotes map[*Remote]struct{}
 	// size mirrors len(remotes) so fan-out can skip empty shards without
 	// taking the lock.
@@ -38,17 +40,6 @@ type shard struct {
 	// publish either hands the work descriptor to the sender or (when
 	// the host is closing and the sender may be gone) runs it inline.
 	work chan *shardWork
-	// arena is where every send to a remote of this shard is stamped
-	// (sendPrepared, resend). One remote's batch lives in it from the
-	// stamp to the return of the sink call, then the next remote's
-	// overwrites it; mu guards it like the remotes it serves.
-	arena rtp.Arena
-	// tally collects the per-kind send counts of the remotes walked in
-	// one phase so the stats collector's mutex is taken once per shard
-	// per phase, not once per remote. inPhase tells sendPrepared that a
-	// phase is running and will flush; outside one it flushes itself.
-	tally   stats.Tally
-	inPhase bool
 	// pw is the shard's pooled work descriptor. The barrier guarantees
 	// at most one outstanding fan-out per shard, so one descriptor per
 	// shard is reused for every tick of the session.
@@ -99,10 +90,10 @@ func (h *Host) sender(s *shard) {
 // every fan-out path shares; see the note on BroadcastExtension.
 func (h *Host) runShardWork(w *shardWork) {
 	s := w.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inPhase = true
-	defer h.endPhase(s)
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	s.BeginPhase()
+	defer s.EndPhase()
 	switch w.phase {
 	case phaseDeliver:
 		s.refreshers = s.refreshers[:0]
@@ -151,21 +142,11 @@ func (h *Host) runShardWork(w *shardWork) {
 			// updates reseed it, dropping any pre-desync entries the
 			// viewer may no longer hold.
 			r.tileReset()
-			if err := r.sendPrepared(r.tileCompose(w.prep, false)); err != nil && w.err == nil {
+			if err := r.st.Send(r.tileCompose(w.prep, false)); err != nil && w.err == nil {
 				w.err = err
 			}
 		}
 		s.refreshers = s.refreshers[:0]
-	}
-}
-
-// endPhase closes a walk over a shard's remotes that set s.inPhase and
-// sent to many of them: the sends tallied their stats on the shard, and
-// the collector gets the sum in one call. Shard lock held.
-func (h *Host) endPhase(s *shard) {
-	s.inPhase = false
-	if h.cfg.Stats != nil {
-		h.cfg.Stats.RecordTally(&s.tally)
 	}
 }
 

@@ -147,8 +147,8 @@ func TestShardChurnFlashCrowd(t *testing.T) {
 // it; the Tick barrier orders those writes before the test's reads.
 type recordSink struct{ buf bytes.Buffer }
 
-func (c *recordSink) ship(p []byte) error { c.buf.Write(p); return nil }
-func (c *recordSink) shipBatch(ps [][]byte) (int, error) {
+func (c *recordSink) Send(p []byte) error { c.buf.Write(p); return nil }
+func (c *recordSink) SendBatch(ps [][]byte) (int, error) {
 	for _, p := range ps {
 		c.buf.Write(p)
 	}

@@ -9,6 +9,7 @@ import (
 	"appshare/internal/capture"
 	"appshare/internal/codec"
 	"appshare/internal/display"
+	"appshare/internal/fanout"
 	"appshare/internal/region"
 	"appshare/internal/rtp"
 	"appshare/internal/transport"
@@ -158,14 +159,14 @@ func (h *Host) SnapshotSession() (*SessionSnapshot, error) {
 	h.capMu.Unlock()
 
 	for si, s := range h.shards {
-		s.mu.Lock()
+		s.Mu.Lock()
 		for r := range s.remotes {
 			if r.closed {
 				continue
 			}
 			snap.Remotes = append(snap.Remotes, r.snapshotLocked(uint32(si)))
 		}
-		s.mu.Unlock()
+		s.Mu.Unlock()
 	}
 	sort.Slice(snap.Remotes, func(i, j int) bool { return snap.Remotes[i].ID < snap.Remotes[j].ID })
 	return snap, nil
@@ -178,7 +179,7 @@ func (r *Remote) snapshotLocked(shardIndex uint32) RemoteSnapshot {
 		UserID:      r.userID,
 		ShardIndex:  shardIndex,
 		ForwardOnly: r.forwardOnly,
-		Packetizer:  r.pz.State(),
+		Packetizer:  r.st.Packetizer.State(),
 
 		TileRefs:       r.tileRefs,
 		Pending:        r.pending.Rects(),
@@ -207,11 +208,11 @@ func (r *Remote) snapshotLocked(shardIndex uint32) RemoteSnapshot {
 		TierFlaps:       r.tierFlaps,
 		DecimTicks:      int32(r.decimTicks),
 
-		SentPackets: r.sentPackets,
-		SentOctets:  r.sentOctets,
+		SentPackets: r.st.SentPackets,
+		SentOctets:  r.st.SentOctets,
 
-		LastRefresh:      timeToNano(r.lastRefresh),
-		AbsorbedPLIs:     r.absorbedPLIs,
+		LastRefresh:      timeToNano(r.st.LastRefresh),
+		AbsorbedPLIs:     r.st.AbsorbedPLIs,
 		RefreshRequested: r.refreshRequested,
 	}
 	if r.tileSeen != nil {
@@ -225,12 +226,12 @@ func (r *Remote) snapshotLocked(shardIndex uint32) RemoteSnapshot {
 		rs.LastRRJitter = r.lastRR.Jitter
 		rs.LastRRHighSeq = r.lastRR.HighestSeq
 	}
-	if r.retrans != nil {
+	if r.st.Retrans != nil {
 		// The log holds payload references, not datagrams: re-stamp each
 		// entry into the bytes that went on the wire.
-		r.retrans.Each(func(e rtp.LoggedPacket) {
+		r.st.Retrans.Each(func(e rtp.LoggedPacket) {
 			pkt := make([]byte, 0, rtp.HeaderSize+len(e.Payload))
-			rs.Retrans = append(rs.Retrans, RetransEntry{Seq: e.Seq, Pkt: r.pz.AppendLogged(pkt, e)})
+			rs.Retrans = append(rs.Retrans, RetransEntry{Seq: e.Seq, Pkt: r.st.Packetizer.AppendLogged(pkt, e)})
 		})
 	}
 	return rs
@@ -307,7 +308,6 @@ func (h *Host) restoreRemote(rs *RemoteSnapshot) error {
 		id:          rs.ID,
 		userID:      rs.UserID,
 		sink:        nullSink{},
-		pz:          rtp.NewPacketizerFromState(rs.Packetizer),
 		pending:     region.NewSet(),
 		forwardOnly: rs.ForwardOnly,
 
@@ -337,11 +337,15 @@ func (h *Host) restoreRemote(rs *RemoteSnapshot) error {
 		tierFlaps:       rs.TierFlaps,
 		decimTicks:      int(rs.DecimTicks),
 
-		sentPackets: rs.SentPackets,
-		sentOctets:  rs.SentOctets,
-
-		lastRefresh:      nanoToTime(rs.LastRefresh),
-		absorbedPLIs:     rs.AbsorbedPLIs,
+		st: fanout.Stream{
+			Shard:        &sh.Shard,
+			Sink:         nullSink{},
+			Packetizer:   rtp.NewPacketizerFromState(rs.Packetizer),
+			SentPackets:  rs.SentPackets,
+			SentOctets:   rs.SentOctets,
+			LastRefresh:  nanoToTime(rs.LastRefresh),
+			AbsorbedPLIs: rs.AbsorbedPLIs,
+		},
 		refreshRequested: rs.RefreshRequested,
 	}
 	for _, rect := range rs.Pending {
@@ -369,7 +373,7 @@ func (h *Host) restoreRemote(rs *RemoteSnapshot) error {
 		}
 	}
 	if h.cfg.Retransmissions {
-		r.retrans = rtp.NewRetransLog(h.cfg.RetransLog)
+		r.st.Retrans = rtp.NewRetransLog(h.cfg.RetransLog)
 		for _, e := range rs.Retrans {
 			// Parse the datagram back into the fields the log keeps; the
 			// restored packetizer supplies SSRC and payload type again.
@@ -380,7 +384,7 @@ func (h *Host) restoreRemote(rs *RemoteSnapshot) error {
 			if p.SequenceNumber != e.Seq {
 				return fmt.Errorf("ah: restore remote %q: retransmission log entry %d holds sequence %d", rs.ID, e.Seq, p.SequenceNumber)
 			}
-			r.retrans.Put(rtp.LoggedPacket{
+			r.st.Retrans.Put(rtp.LoggedPacket{
 				Payload:   append([]byte(nil), p.Payload...),
 				Timestamp: p.Timestamp,
 				Seq:       e.Seq,
@@ -394,16 +398,16 @@ func (h *Host) restoreRemote(rs *RemoteSnapshot) error {
 	if h.closed {
 		return ErrHostClosed
 	}
-	sh.mu.Lock()
+	sh.Mu.Lock()
 	for o := range sh.remotes {
 		if o.id == r.id {
-			sh.mu.Unlock()
+			sh.Mu.Unlock()
 			return fmt.Errorf("ah: restore remote %q: already attached", r.id)
 		}
 	}
 	sh.remotes[r] = struct{}{}
 	sh.size.Add(1)
-	sh.mu.Unlock()
+	sh.Mu.Unlock()
 	h.nRemotes.Add(1)
 	return nil
 }
@@ -419,21 +423,18 @@ func (h *Host) ResumePacketConn(id string, conn transport.PacketConn, opts Packe
 	if r == nil {
 		return nil, fmt.Errorf("ah: resume %q: %w", id, ErrUnknownRemote)
 	}
-	s := &packetSink{conn: conn, rate: opts.BytesPerSecond, now: h.cfg.Now}
-	if bs, ok := conn.(transport.BatchSender); ok {
-		s.batch = bs
-	}
-	r.sh.mu.Lock()
+	s := h.newPacketSink(conn, opts.BytesPerSecond)
+	r.sh.Mu.Lock()
 	if r.closed {
-		r.sh.mu.Unlock()
+		r.sh.Mu.Unlock()
 		return nil, fmt.Errorf("ah: resume %q: remote closed", id)
 	}
 	if _, detached := r.sink.(nullSink); !detached {
-		r.sh.mu.Unlock()
+		r.sh.Mu.Unlock()
 		return nil, fmt.Errorf("ah: resume %q: remote already has a transport", id)
 	}
-	r.sink = s
-	r.sh.mu.Unlock()
+	r.sink, r.st.Sink = s, s
+	r.sh.Mu.Unlock()
 	go h.pumpPackets(r, conn)
 	return r, nil
 }
@@ -451,8 +452,8 @@ type nullSink struct{}
 
 var errNotResumed = errors.New("ah: remote restored but not resumed")
 
-func (nullSink) ship([]byte) error               { return errNotResumed }
-func (nullSink) shipBatch([][]byte) (int, error) { return 0, errNotResumed }
+func (nullSink) Send([]byte) error               { return errNotResumed }
+func (nullSink) SendBatch([][]byte) (int, error) { return 0, errNotResumed }
 func (nullSink) backlogged(int) bool             { return false }
 func (nullSink) queued() int                     { return 0 }
 func (nullSink) stalled() time.Duration          { return 0 }

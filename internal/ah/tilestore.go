@@ -51,11 +51,11 @@ func (c TileStoreConfig) withDefaults() TileStoreConfig {
 // dictionary) cannot be trusted — it must carry real pixels. It still
 // learns, which is exactly how a desynced dictionary heals: the refresh
 // re-teaches both sides the same tiles in the same order.
-func (r *Remote) tileCompose(prep *preparedBatch, allowRefs bool) []preparedMessage {
+func (r *Remote) tileCompose(prep *preparedBatch, allowRefs bool) []PreparedPayload {
 	if r.tileSeen == nil || len(prep.updates) == 0 {
 		return prep.msgs
 	}
-	out := make([]preparedMessage, 0, len(prep.msgs))
+	out := make([]PreparedPayload, 0, len(prep.msgs))
 	out = append(out, prep.msgs[:prep.updates[0].start]...)
 	for _, u := range prep.updates {
 		if allowRefs && u.ref != nil && r.tilesSeen(u.tiles) {
@@ -103,16 +103,16 @@ func (r *Remote) tilesSeen(tiles []codec.TileKey) bool {
 // TileRefs reports how many TileReference messages were substituted for
 // pixel updates toward this remote.
 func (r *Remote) TileRefs() uint64 {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	return r.tileRefs
 }
 
 // TileDictStats returns the remote's seen-set counters (zero value when
 // the remote has no tile store).
 func (r *Remote) TileDictStats() codec.TileDictStats {
-	r.sh.mu.Lock()
-	defer r.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	if r.tileSeen == nil {
 		return codec.TileDictStats{}
 	}

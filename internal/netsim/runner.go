@@ -798,12 +798,21 @@ func (r *runner) attach(v *viewerState) error {
 			r.freshJoinsB++
 		}
 	case KindTCP:
-		v.sconn = newStreamConn(v.spec.StreamBudgetPerTick > 0 || len(v.spec.StreamBudgetSchedule) > 0)
+		budgeted := v.spec.StreamBudgetPerTick > 0 || len(v.spec.StreamBudgetSchedule) > 0
+		v.sconn = newStreamConn(budgeted)
 		rem, err := r.host.AttachStream(v.name, v.sconn, ah.StreamOptions{TileStore: tiled})
 		if err != nil {
 			return err
 		}
 		v.remote = rem
+		if !budgeted {
+			// The join push drains on the RatedWriter's goroutine. Until it
+			// has, the host's Section 7 check in the coming Tick reads a
+			// backlog that depends on scheduling, and defers or ships this
+			// viewer's first batch accordingly. A budgeted conn needs no
+			// wait: its writer parks on the empty budget either way.
+			r.awaitStream(v)
+		}
 	case KindMulticast:
 		cfg := v.prof.Down
 		cfg.Seed = deriveSeed(r.sc.Seed, "mc-sub/"+v.name)
@@ -836,13 +845,13 @@ func (r *runner) noteEvictions() {
 	r.pendingEvicts = r.pendingEvicts[:0]
 }
 
-// settleStream drives one TCP viewer's pipeline to a stable state and
-// delivers the frames that arrived. The loop polls, but only for
-// terminal states that cannot regress: the host is not sending (the
-// runner owns Tick), so either everything framed has been accepted and
-// the RatedWriter is idle, or the drain is parked on an exhausted
-// budget, or the conn was closed by an eviction.
-func (r *runner) settleStream(v *viewerState) {
+// awaitStream waits for one TCP viewer's pipeline to reach a stable
+// state. The loop polls, but only for terminal states that cannot
+// regress: the host is not sending (the runner owns Tick), so either
+// everything framed has been accepted and the RatedWriter is idle, or
+// the drain is parked on an exhausted budget, or the conn was closed by
+// an eviction.
+func (r *runner) awaitStream(v *viewerState) {
 	start := time.Now()
 	for {
 		_, _, _, closed := v.sconn.state()
@@ -867,7 +876,12 @@ func (r *runner) settleStream(v *viewerState) {
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
+}
 
+// settleStream lets one TCP viewer's pipeline settle and delivers the
+// frames that arrived.
+func (r *runner) settleStream(v *viewerState) {
+	r.awaitStream(v)
 	v.rxBuf = append(v.rxBuf, v.sconn.takeOut()...)
 	for len(v.rxBuf) >= 2 {
 		n := int(v.rxBuf[0])<<8 | int(v.rxBuf[1])

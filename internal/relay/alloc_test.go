@@ -78,6 +78,15 @@ func TestRelayFanoutAllocatesNothingPerViewer(t *testing.T) {
 	}
 }
 
+// TestRelayForwardBatchAllocatesNothing: a forwarded batch is re-fanned
+// as the slice the upstream handed over — into a childless relay, with
+// arena, rings and tally warm, that costs no allocation at all.
+func TestRelayForwardBatchAllocatesNothing(t *testing.T) {
+	if allocs := forwardAllocsPerBatch(t, 1); allocs != 0 {
+		t.Fatalf("a forwarded batch allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestRelayRejectsWidePayloadType: a payload type that does not fit the
 // RTP header's 7 bits is refused when the first viewer attaches, the
 // earliest point a Relay can report it.

@@ -7,8 +7,10 @@
 // The relay receives each tick's payloads exactly as the origin's local
 // shards do — marshalled once, addressed by stream id — and pays only
 // per-viewer RTP re-stamping, the same split the origin's sharded send
-// path makes between "encode & batch" and "remote set". Viewer repair
-// stays local: NACKs are served from a per-viewer retransmission log,
+// path makes between "encode & batch" and "remote set" — and the same
+// code: a Viewer's RTP stream is the fanout.Stream an ah.Remote's is.
+// Viewer repair stays local: NACKs are served from a per-viewer
+// retransmission log,
 // PLIs from the cached refresh. The only upstream refresh traffic is
 // the cadence-driven cache refill (Config.RefreshEvery), so a storm of
 // edge joins or losses costs the origin zero additional encodes.
@@ -22,8 +24,8 @@ import (
 	"time"
 
 	"appshare/internal/ah"
+	"appshare/internal/fanout"
 	"appshare/internal/rtcp"
-	"appshare/internal/rtp"
 	"appshare/internal/stats"
 	"appshare/internal/transport"
 )
@@ -68,12 +70,6 @@ type Config struct {
 	// joins, PLIs) are always served from the cache and latched for the
 	// next scheduled refill, never forwarded.
 	RefreshEvery int
-	// Shards splits the viewer set across independently-locked shards
-	// (default 1), so feedback handling on one shard does not contend
-	// with fan-out on another — the origin's shard layout, minus the
-	// sender goroutines (a relay's fan-out is already off the origin's
-	// tick path).
-	Shards int
 	// Now supplies time (defaults to time.Now); injectable for tests.
 	Now func() time.Time
 	// Entropy seeds the per-viewer RTP identifiers (see ah.Config).
@@ -98,42 +94,24 @@ type Stats struct {
 	UpstreamRefreshRequests uint64
 }
 
-// msg is one re-fannable payload.
-type msg struct {
-	payload []byte
-	marker  bool
-	kind    string
-}
-
-// rshard owns one slice of the viewer set. Lock order: rshard.mu →
-// Relay.mu (fan-out and feedback hold a shard lock and bump the
-// cascade counters under Relay.mu); no path holds two shard locks at
-// once, and no path acquires a shard lock while holding Relay.mu.
-type rshard struct {
-	mu      sync.Mutex
-	viewers map[*Viewer]struct{}
-	// arena is where every send to a viewer of this shard is stamped,
-	// one viewer's batch at a time, and tally collects a fan-out's
-	// per-kind counts so the stats collector is locked once per shard
-	// (inFanout tells sendLocked that fanout will flush) — the origin's
-	// shard layout; see ah/shard.go. Guarded by mu.
-	arena    rtp.Arena
-	tally    stats.Tally
-	inFanout bool
-}
-
 // Relay is one edge node of the cascade.
 type Relay struct {
-	cfg       Config
-	shards    []*rshard
-	nextShard atomic.Uint64
-	nViewers  atomic.Int64
+	cfg Config
+	// sh is the viewer set's scaffold — lock, send arena, stats tally —
+	// the same one each of the origin's shards carries (a relay's fan-out
+	// is already off the origin's tick path, so it holds exactly one).
+	// sh.Mu guards viewers and every Viewer's state. Lock order: sh.Mu →
+	// mu (fan-out and feedback hold sh.Mu and bump the cascade counters
+	// under mu); no path acquires sh.Mu while holding mu.
+	sh       fanout.Shard
+	viewers  map[*Viewer]struct{}
+	nViewers atomic.Int64
 
 	// mu guards the refresh cache, the upstream handle, the child
 	// forwarder set and the cascade counters.
 	mu       sync.Mutex
 	upstream Upstream
-	cache    []msg
+	cache    []fanout.Payload
 	children []ah.Forwarder
 	// childRefresh latches a child relay's snapshot request; it is
 	// served from this relay's own cache at the next batch — absorption
@@ -157,15 +135,11 @@ func New(cfg Config) *Relay {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
+	return &Relay{
+		cfg:     cfg,
+		sh:      fanout.Shard{Now: cfg.Now, Stats: cfg.Stats},
+		viewers: make(map[*Viewer]struct{}),
 	}
-	r := &Relay{cfg: cfg}
-	r.shards = make([]*rshard, cfg.Shards)
-	for i := range r.shards {
-		r.shards[i] = &rshard{viewers: make(map[*Viewer]struct{})}
-	}
-	return r
 }
 
 // ErrRelayClosed is returned by operations on a closed Relay.
@@ -203,18 +177,16 @@ func (r *Relay) Close() error {
 	if up != nil {
 		up.DetachForwarder(r)
 	}
+	r.sh.Mu.Lock()
+	vs := make([]*Viewer, 0, len(r.viewers))
+	for v := range r.viewers {
+		vs = append(vs, v)
+	}
+	r.sh.Mu.Unlock()
 	var firstErr error
-	for _, s := range r.shards {
-		s.mu.Lock()
-		vs := make([]*Viewer, 0, len(s.viewers))
-		for v := range s.viewers {
-			vs = append(vs, v)
-		}
-		s.mu.Unlock()
-		for _, v := range vs {
-			if err := v.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, v := range vs {
+		if err := v.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -282,15 +254,14 @@ func (r *Relay) ForwardBatch(streamID uint32, msgs []ah.PreparedPayload) error {
 	up := r.upstream
 	children := r.childSnapshotLocked()
 	serveChildren := r.childRefresh && r.cache != nil
-	var cache []msg
+	var cache []fanout.Payload
 	if serveChildren {
 		r.childRefresh = false
 		cache = r.cache
 	}
 	r.mu.Unlock()
 
-	batch := importPrepared(msgs)
-	err := r.fanout(batch, false, false)
+	err := r.fanout(msgs, false, false)
 	for _, c := range children {
 		if serveChildren {
 			// Snapshot before batch: the cache predates this tick's
@@ -301,10 +272,10 @@ func (r *Relay) ForwardBatch(streamID uint32, msgs []ah.PreparedPayload) error {
 			// or the deltas between the cache's capture and now are
 			// silently lost to them.
 			if cr, ok := c.(cacheReplayReceiver); ok {
-				if ferr := cr.ForwardCachedRefresh(streamID, exportMsgs(cache)); ferr != nil && err == nil {
+				if ferr := cr.ForwardCachedRefresh(streamID, cache); ferr != nil && err == nil {
 					err = ferr
 				}
-			} else if ferr := c.ForwardRefresh(streamID, exportMsgs(cache)); ferr != nil && err == nil {
+			} else if ferr := c.ForwardRefresh(streamID, cache); ferr != nil && err == nil {
 				err = ferr
 			}
 		}
@@ -355,19 +326,18 @@ func (r *Relay) refill(streamID uint32, msgs []ah.PreparedPayload, fresh bool) e
 	if streamID != r.cfg.StreamID {
 		return nil
 	}
-	snapshot := importPrepared(msgs)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return ErrRelayClosed
 	}
-	r.cache = snapshot
+	r.cache = msgs
 	r.st.CacheRefills++
 	r.childRefresh = false
 	children := r.childSnapshotLocked()
 	r.mu.Unlock()
 
-	err := r.fanout(snapshot, true, fresh)
+	err := r.fanout(msgs, true, fresh)
 	for _, c := range children {
 		var ferr error
 		if cr, ok := c.(cacheReplayReceiver); ok && !fresh {
@@ -392,35 +362,30 @@ func (r *Relay) childSnapshotLocked() []ah.Forwarder {
 	return out
 }
 
-// fanout stamps and ships one batch to every viewer, shard by shard.
-// refresh batches go only to viewers whose refresh is latched;
+// fanout stamps and ships one batch to every viewer as one phase of the
+// scaffold. refresh batches go only to viewers whose refresh is latched;
 // ordinary batches go to everyone. settle says whether a refresh serve
 // clears the latch: origin-fresh snapshots do, cache replays repaint
 // but leave the viewer latched for the next fresh one.
-func (r *Relay) fanout(batch []msg, refresh, settle bool) error {
+func (r *Relay) fanout(batch []fanout.Payload, refresh, settle bool) error {
 	var firstErr error
-	for _, s := range r.shards {
-		s.mu.Lock()
-		s.inFanout = true
-		for v := range s.viewers {
-			if refresh {
-				if !v.wantRefresh {
-					continue
-				}
-				if settle {
-					v.wantRefresh = false
-				}
-				r.countCacheServe()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
+	r.sh.BeginPhase()
+	defer r.sh.EndPhase()
+	for v := range r.viewers {
+		if refresh {
+			if !v.wantRefresh {
+				continue
 			}
-			if err := v.sendLocked(batch); err != nil && firstErr == nil {
-				firstErr = err
+			if settle {
+				v.wantRefresh = false
 			}
+			r.countCacheServe()
 		}
-		s.inFanout = false
-		if r.cfg.Stats != nil {
-			r.cfg.Stats.RecordTally(&s.tally)
+		if err := v.send(batch); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		s.mu.Unlock()
 	}
 	return firstErr
 }
@@ -441,48 +406,18 @@ func (r *Relay) Stats() Stats {
 // Viewers returns the number of attached viewers.
 func (r *Relay) Viewers() int { return int(r.nViewers.Load()) }
 
-// importPrepared copies the shared-payload batch into the relay's
-// representation. Payload bytes stay shared (read-only by contract).
-func importPrepared(msgs []ah.PreparedPayload) []msg {
-	out := make([]msg, len(msgs))
-	for i, m := range msgs {
-		out[i] = msg{payload: m.Payload, marker: m.Marker, kind: m.Kind}
-	}
-	return out
-}
-
-// exportMsgs is the inverse, for re-publishing to children.
-func exportMsgs(batch []msg) []ah.PreparedPayload {
-	out := make([]ah.PreparedPayload, len(batch))
-	for i, m := range batch {
-		out[i] = ah.PreparedPayload{Payload: m.payload, Marker: m.marker, Kind: m.kind}
-	}
-	return out
-}
-
-// shardFor assigns a new viewer round-robin.
-func (r *Relay) shardFor() *rshard {
-	return r.shards[(r.nextShard.Add(1)-1)%uint64(len(r.shards))]
-}
-
 // Viewer is one participant attached to the relay.
 type Viewer struct {
-	rl   *Relay
-	sh   *rshard
-	id   string
-	conn transport.PacketConn
-	// batch is conn's batched-send fast path (nil when absent).
-	batch transport.BatchSender
-	pz    *rtp.Packetizer
+	rl *Relay
+	id string
+	// conn is the viewer's transport; &conn is st.Sink.
+	conn transport.Batched
 
-	// Guarded by sh.mu.
-	retrans      *rtp.RetransLog
-	sentPackets  uint64
-	sentOctets   uint64
-	lastRefresh  time.Time
-	absorbedPLIs uint64
-	wantRefresh  bool
-	closed       bool
+	// Guarded by rl.sh.Mu. st is the RTP stream toward the viewer; its
+	// retransmission log is always on.
+	st          fanout.Stream
+	wantRefresh bool
+	closed      bool
 }
 
 // AttachPacketConn adds a UDP viewer. The viewer's refresh is latched
@@ -490,41 +425,31 @@ type Viewer struct {
 // a cached snapshot, served from the cache right away: the fast first
 // paint. The latch stays armed until the next upstream snapshot lands,
 // which repaints the viewer consistent with the deltas it joined in the
-// middle of. Either way the origin never hears about the join.
+// middle of. Either way the origin never hears about the join. A relay
+// that is closed, or closes meanwhile, closes conn.
 func (r *Relay) AttachPacketConn(id string, conn transport.PacketConn) (*Viewer, error) {
 	if r.cfg.RemotingPT > 0x7F {
 		return nil, fmt.Errorf("relay: payload type %d exceeds 7 bits", r.cfg.RemotingPT)
 	}
+	v := &Viewer{rl: r, id: id, conn: transport.Batch(conn), wantRefresh: true}
+	v.st = fanout.NewStream(&r.sh, &v.conn, r.cfg.Entropy, r.cfg.RemotingPT, r.cfg.RetransLog)
+	r.sh.Mu.Lock()
+	// Close marks the relay closed before it walks the viewer set under
+	// sh.Mu, so checking the mark under sh.Mu decides the race: either
+	// this attach is refused, or Close's walk finds the viewer.
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	closed := r.closed
+	r.mu.Unlock()
+	if closed {
+		r.sh.Mu.Unlock()
+		_ = conn.Close()
 		return nil, ErrRelayClosed
 	}
-	cache := r.cache
-	r.mu.Unlock()
-	ent := r.cfg.Entropy
-	v := &Viewer{
-		rl:      r,
-		sh:      r.shardFor(),
-		id:      id,
-		conn:    conn,
-		pz:      rtp.NewPacketizerFrom(ent, rtp.NewSSRCFrom(ent), r.cfg.RemotingPT, r.cfg.Now()),
-		retrans: rtp.NewRetransLog(r.cfg.RetransLog),
-	}
-	if bs, ok := conn.(transport.BatchSender); ok {
-		v.batch = bs
-	}
-	v.sh.mu.Lock()
-	v.sh.viewers[v] = struct{}{}
-	v.wantRefresh = true
-	v.lastRefresh = r.cfg.Now()
-	var err error
-	if cache != nil {
-		err = v.sendLocked(cache)
-		r.countCacheServe()
-	}
-	v.sh.mu.Unlock()
+	r.viewers[v] = struct{}{}
 	r.nViewers.Add(1)
+	v.st.LastRefresh = r.cfg.Now()
+	err := r.serveCacheLocked(v)
+	r.sh.Mu.Unlock()
 	if err != nil {
 		_ = v.Close()
 		return nil, err
@@ -564,8 +489,8 @@ func (r *Relay) handleFeedback(v *Viewer, pkt []byte) {
 	if err != nil {
 		return
 	}
-	v.sh.mu.Lock()
-	defer v.sh.mu.Unlock()
+	r.sh.Mu.Lock()
+	defer r.sh.Mu.Unlock()
 	if v.closed {
 		// Same eviction race as the origin's feedback path: a viewer
 		// torn down between mark and transport close must not receive
@@ -576,15 +501,12 @@ func (r *Relay) handleFeedback(v *Viewer, pkt []byte) {
 	for _, p := range pkts {
 		switch fb := p.(type) {
 		case *rtcp.PLI:
-			if r.cfg.MinRefreshInterval > 0 && !v.lastRefresh.IsZero() &&
-				now.Sub(v.lastRefresh) < r.cfg.MinRefreshInterval {
-				v.absorbedPLIs++
+			if !v.st.AdmitPLI(now, r.cfg.MinRefreshInterval) {
 				r.mu.Lock()
 				r.st.AbsorbedPLIs++
 				r.mu.Unlock()
 				continue
 			}
-			v.lastRefresh = now
 			// Serve from the cache immediately (the edge answer the
 			// origin never sees) and keep the latch armed for the next
 			// snapshot, which repaints past whatever deltas the loss ate.
@@ -593,7 +515,7 @@ func (r *Relay) handleFeedback(v *Viewer, pkt []byte) {
 			}
 			r.record("RelayPLI", len(pkt))
 		case *rtcp.NACK:
-			_ = v.resendLocked(fb.Lost())
+			_ = v.st.Resend(fb.Lost())
 			r.record("RelayNACK", len(pkt))
 		}
 	}
@@ -611,90 +533,18 @@ func (r *Relay) serveCacheLocked(v *Viewer) error {
 	if cache == nil {
 		return nil
 	}
-	return v.sendLocked(cache)
+	return v.send(cache)
 }
 
-// sendLocked stamps the batch with v's RTP stream state into the shard's
-// arena and ships it as one sink batch; the retransmission log keeps the
-// header fields and a reference to each shared payload. Stats are
-// tallied on the shard: fanout flushes them once per shard, any other
-// caller's send (attach, PLI serve) flushes before returning. Shard lock
-// held.
-func (v *Viewer) sendLocked(batch []msg) error {
-	if len(batch) == 0 || v.closed {
+// send ships one batch on v's stream (see fanout.Stream.Send: stamped
+// into the relay's arena, logged by payload reference, tallied on the
+// scaffold). Retransmissions do not count toward SentPackets — the
+// origin's convention. sh.Mu held.
+func (v *Viewer) send(batch []fanout.Payload) error {
+	if v.closed {
 		return nil
 	}
-	sh := v.sh
-	ts := v.pz.Timestamp(v.rl.cfg.Now())
-	first := v.pz.NextSequence()
-	sh.arena.Reset()
-	for i := range batch {
-		sh.arena.Stamp(v.pz, batch[i].payload, batch[i].marker, ts)
-	}
-	pkts := sh.arena.Packets()
-	var n int
-	var err error
-	if v.batch != nil {
-		n, err = v.batch.SendBatch(pkts)
-		if n > len(pkts) {
-			n = len(pkts)
-		}
-	} else {
-		n = len(pkts)
-		for i, p := range pkts {
-			if e := v.conn.Send(p); e != nil {
-				n, err = i, e
-				break
-			}
-		}
-	}
-	counting := v.rl.cfg.Stats != nil
-	runStart, runBytes := 0, uint64(0)
-	for i := 0; i < n; i++ {
-		size := uint64(rtp.HeaderSize + len(batch[i].payload))
-		v.sentPackets++
-		v.sentOctets += size
-		v.retrans.Put(rtp.LoggedPacket{
-			Payload:   batch[i].payload,
-			Timestamp: ts,
-			Seq:       first + uint16(i),
-			Marker:    batch[i].marker,
-		})
-		if !counting {
-			continue
-		}
-		runBytes += size
-		if i+1 == n || batch[i+1].kind != batch[i].kind {
-			sh.tally.Add(batch[i].kind, uint64(i+1-runStart), runBytes)
-			runStart, runBytes = i+1, 0
-		}
-	}
-	if counting && !sh.inFanout {
-		v.rl.cfg.Stats.RecordTally(&sh.tally)
-	}
-	return err
-}
-
-// resendLocked services a NACK from the log, re-stamping each packet
-// still retained into the bytes first sent. Shard lock held.
-// Retransmissions do not count toward sentPackets/sentOctets — the
-// origin's convention: those counters mean fresh sends, the quantity
-// RTCP sender reports and the simulation's counter oracle reconcile
-// against the wire's sequence chain.
-func (v *Viewer) resendLocked(seqs []uint16) error {
-	arena := &v.sh.arena
-	for _, s := range seqs {
-		e, ok := v.retrans.Get(s)
-		if !ok {
-			continue
-		}
-		pkt := arena.Restamp(v.pz, e)
-		if err := v.conn.Send(pkt); err != nil {
-			return err
-		}
-		v.rl.record("Retransmission", len(pkt))
-	}
-	return nil
+	return v.st.Send(batch)
 }
 
 // ID returns the identifier the viewer was attached with.
@@ -702,44 +552,45 @@ func (v *Viewer) ID() string { return v.id }
 
 // SSRC returns the RTP synchronization source of the viewer's stream.
 func (v *Viewer) SSRC() uint32 {
-	v.sh.mu.Lock()
-	defer v.sh.mu.Unlock()
-	return v.pz.SSRC()
+	v.rl.sh.Mu.Lock()
+	defer v.rl.sh.Mu.Unlock()
+	return v.st.Packetizer.SSRC()
 }
 
 // SentPackets reports the fresh packets shipped to this viewer
 // (deliveries and cache serves; retransmissions are excluded, matching
 // the origin's counter convention).
 func (v *Viewer) SentPackets() uint64 {
-	v.sh.mu.Lock()
-	defer v.sh.mu.Unlock()
-	return v.sentPackets
+	v.rl.sh.Mu.Lock()
+	defer v.rl.sh.Mu.Unlock()
+	return v.st.SentPackets
 }
 
 // SentOctets reports the bytes shipped to this viewer.
 func (v *Viewer) SentOctets() uint64 {
-	v.sh.mu.Lock()
-	defer v.sh.mu.Unlock()
-	return v.sentOctets
+	v.rl.sh.Mu.Lock()
+	defer v.rl.sh.Mu.Unlock()
+	return v.st.SentOctets
 }
 
 // AbsorbedPLIs reports PLIs swallowed by the rate limiter.
 func (v *Viewer) AbsorbedPLIs() uint64 {
-	v.sh.mu.Lock()
-	defer v.sh.mu.Unlock()
-	return v.absorbedPLIs
+	v.rl.sh.Mu.Lock()
+	defer v.rl.sh.Mu.Unlock()
+	return v.st.AbsorbedPLIs
 }
 
 // Close detaches the viewer and closes its transport.
 func (v *Viewer) Close() error {
-	v.sh.mu.Lock()
+	sh := &v.rl.sh
+	sh.Mu.Lock()
 	if v.closed {
-		v.sh.mu.Unlock()
+		sh.Mu.Unlock()
 		return nil
 	}
 	v.closed = true
-	delete(v.sh.viewers, v)
-	v.sh.mu.Unlock()
+	delete(v.rl.viewers, v)
+	sh.Mu.Unlock()
 	v.rl.nViewers.Add(-1)
 	return v.conn.Close()
 }

@@ -462,3 +462,33 @@ func TestRelayWireSubscribe(t *testing.T) {
 	default:
 	}
 }
+
+// TestRelayAttachRacingCloseLeavesNoViewer: an attach that races Close
+// is either refused or swept up by it. Whichever way each round falls,
+// once both calls have returned the relay holds no viewer and the conn
+// is closed — no live viewer and pump goroutine on a closed relay.
+func TestRelayAttachRacingCloseLeavesNoViewer(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		rl := New(Config{StreamID: 3, Entropy: ent()})
+		conn := newDiscardConn()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, _ = rl.AttachPacketConn("v", conn)
+		}()
+		go func() {
+			defer wg.Done()
+			_ = rl.Close()
+		}()
+		wg.Wait()
+		if n := rl.Viewers(); n != 0 {
+			t.Fatalf("round %d: closed relay holds %d viewers", round, n)
+		}
+		select {
+		case <-conn.dead:
+		default:
+			t.Fatalf("round %d: closed relay left the viewer's conn open", round)
+		}
+	}
+}

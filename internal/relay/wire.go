@@ -7,6 +7,7 @@ import (
 
 	"appshare/internal/ah"
 	"appshare/internal/core"
+	"appshare/internal/fanout"
 	"appshare/internal/framing"
 	"appshare/internal/remoting"
 	"appshare/internal/rtp"
@@ -118,7 +119,7 @@ func (w *wireUpstream) pump() error {
 	var (
 		collecting bool
 		want       int
-		snapshot   []msg
+		snapshot   []fanout.Payload
 		lastEpoch  uint32
 		haveEpoch  bool
 	)
@@ -157,30 +158,30 @@ func (w *wireUpstream) pump() error {
 			lastEpoch, haveEpoch = desc.Epoch, true
 			if desc.Flags&remoting.DescriptorRefresh != 0 {
 				collecting, want = true, int(desc.Count)
-				snapshot = snapshot[:0]
+				// A slice of its own per snapshot: the relay caches it.
+				snapshot = make([]fanout.Payload, 0, want)
 				if want == 0 {
 					collecting = false
 				}
 			}
 			continue
 		}
-		m := msg{
-			payload: rp.Payload,
-			marker:  rp.Marker,
-			kind:    core.MessageType(rp.Payload[0]).String(),
+		m := fanout.Payload{
+			Payload: rp.Payload,
+			Marker:  rp.Marker,
+			Kind:    core.MessageType(rp.Payload[0]).String(),
 		}
 		if collecting {
 			snapshot = append(snapshot, m)
 			if len(snapshot) == want {
 				collecting = false
-				if err := w.rl.ForwardRefresh(sid, exportMsgs(snapshot)); err != nil {
+				if err := w.rl.ForwardRefresh(sid, snapshot); err != nil {
 					return fmt.Errorf("relay: refresh re-fan: %w", err)
 				}
-				snapshot = snapshot[:0]
 			}
 			continue
 		}
-		if err := w.rl.ForwardBatch(sid, exportMsgs([]msg{m})); err != nil {
+		if err := w.rl.ForwardBatch(sid, []fanout.Payload{m}); err != nil {
 			return fmt.Errorf("relay: re-fan: %w", err)
 		}
 	}

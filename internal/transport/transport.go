@@ -51,6 +51,36 @@ type BatchSender interface {
 	SendBatch(pkts [][]byte) (int, error)
 }
 
+// Batched is a PacketConn that always offers SendBatch: through the
+// conn's own BatchSender when it has one (resolved once, by Batch),
+// through a Send loop otherwise. Either way the count returned is the
+// prefix of pkts the conn accepted — never more than len(pkts) — and a
+// caller's accounting must cover exactly that prefix.
+type Batched struct {
+	PacketConn
+	batch BatchSender
+}
+
+// Batch wraps conn.
+func Batch(conn PacketConn) Batched {
+	bs, _ := conn.(BatchSender)
+	return Batched{PacketConn: conn, batch: bs}
+}
+
+// SendBatch implements BatchSender.
+func (b *Batched) SendBatch(pkts [][]byte) (int, error) {
+	if b.batch != nil {
+		n, err := b.batch.SendBatch(pkts)
+		return min(n, len(pkts)), err
+	}
+	for i, p := range pkts {
+		if err := b.Send(p); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
+}
+
 // LinkConfig describes one direction of a simulated path. The zero
 // value is a perfect link; each field degrades it independently, and a
 // config that sets only the original fields (LossRate, ReorderRate,

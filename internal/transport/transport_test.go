@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"sync"
 	"testing"
@@ -299,3 +300,58 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 type failingWriter struct{}
 
 func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// prefixConn is a PacketConn whose sends stop being accepted after a
+// set number of datagrams; overReport makes its SendBatch claim more
+// than it was handed.
+type prefixConn struct {
+	PacketConn
+	accept     int
+	sent       int
+	overReport bool
+}
+
+var errPrefixFull = errors.New("prefixConn: full")
+
+func (c *prefixConn) Send([]byte) error {
+	if c.sent == c.accept {
+		return errPrefixFull
+	}
+	c.sent++
+	return nil
+}
+
+type prefixBatchConn struct{ *prefixConn }
+
+func (c prefixBatchConn) SendBatch(pkts [][]byte) (int, error) {
+	if c.overReport {
+		return len(pkts) + 5, nil
+	}
+	return min(c.accept, len(pkts)), nil
+}
+
+// TestBatchedReportsTheAcceptedPrefix: with or without the conn's own
+// BatchSender, Batched.SendBatch returns how many leading datagrams the
+// conn took, never more than it was handed.
+func TestBatchedReportsTheAcceptedPrefix(t *testing.T) {
+	pkts := [][]byte{{1}, {2}, {3}}
+	for _, tc := range []struct {
+		name    string
+		conn    PacketConn
+		want    int
+		wantErr error
+	}{
+		{"send loop, all accepted", &prefixConn{accept: 3}, 3, nil},
+		{"send loop, failure at index 1", &prefixConn{accept: 1}, 1, errPrefixFull},
+		{"batch sender, short count", prefixBatchConn{&prefixConn{accept: 2}}, 2, nil},
+		{"batch sender, count beyond the batch", prefixBatchConn{&prefixConn{overReport: true}}, 3, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := Batch(tc.conn)
+			n, err := b.SendBatch(pkts)
+			if n != tc.want || !errors.Is(err, tc.wantErr) {
+				t.Fatalf("SendBatch = (%d, %v), want (%d, %v)", n, err, tc.want, tc.wantErr)
+			}
+		})
+	}
+}

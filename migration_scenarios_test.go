@@ -44,33 +44,7 @@ func TestMigrationFamily(t *testing.T) {
 func TestMigrationDeterminism(t *testing.T) {
 	for _, name := range []string{"migrate-pristine", "migrate-tiles", "migrate-viewer-partition", "migrate-shards"} {
 		name := name
-		t.Run(name, func(t *testing.T) {
-			sc, err := netsim.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := netsim.Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := netsim.Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Digest != b.Digest {
-				t.Fatalf("digest mismatch: %s vs %s", a.Digest, b.Digest)
-			}
-			if len(a.Journal) != len(b.Journal) {
-				t.Fatalf("journal length mismatch: %d vs %d", len(a.Journal), len(b.Journal))
-			}
-			for i := range a.Journal {
-				if a.Journal[i].Offset != b.Journal[i].Offset ||
-					!bytes.Equal(a.Journal[i].Packet, b.Journal[i].Packet) {
-					t.Fatalf("journal record %d differs between replays", i)
-				}
-			}
-			t.Logf("deterministic across replays: digest=%s (%d records)", a.Digest, len(a.Journal))
-		})
+		t.Run(name, func(t *testing.T) { replayTwice(t, name) })
 	}
 }
 

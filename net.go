@@ -50,9 +50,9 @@ type Connection struct {
 
 	mu     sync.Mutex
 	sendFn func(pkt []byte) error
-	// batchFn, when non-nil, ships a run of packets in one transport
-	// operation (framing.WriteFrames writev on streams, SendBatch on
-	// batch-capable packet conns); nil falls back to per-packet sends.
+	// batchFn ships a run of packets in as few transport operations as
+	// the path allows (framing.WriteFrames writev on streams,
+	// transport.Batched on packet conns).
 	batchFn  func(pkts [][]byte) error
 	closer   io.Closer
 	recorder *trace.Writer
@@ -111,15 +111,7 @@ func (c *Connection) send(pkt []byte) error {
 func (c *Connection) sendBatch(pkts [][]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.batchFn != nil {
-		return c.batchFn(pkts)
-	}
-	for _, pkt := range pkts {
-		if err := c.sendFn(pkt); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.batchFn(pkts)
 }
 
 // SendHIP ships a prebuilt HIP RTP packet (from the Participant's
@@ -283,18 +275,17 @@ func (c *Connection) UseHIPStream(rw io.WriteCloser) {
 // ConnectPacket binds the participant to a datagram path (simulated link
 // or adapted UDP socket).
 func ConnectPacket(p *Participant, conn PacketConn) *Connection {
+	batched := transport.Batch(conn)
 	c := &Connection{
 		p:      p,
 		sendFn: conn.Send,
+		batchFn: func(pkts [][]byte) error {
+			_, err := batched.SendBatch(pkts)
+			return err
+		},
 		closer: closerFunc(conn.Close),
 		done:   make(chan struct{}),
 		mtu:    1200,
-	}
-	if bs, ok := conn.(transport.BatchSender); ok {
-		c.batchFn = func(pkts [][]byte) error {
-			_, err := bs.SendBatch(pkts)
-			return err
-		}
 	}
 	go func() {
 		for {

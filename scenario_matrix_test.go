@@ -2,6 +2,9 @@ package appshare_test
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"appshare/internal/netsim"
@@ -33,40 +36,101 @@ func TestScenarioMatrix(t *testing.T) {
 	}
 }
 
-// TestScenarioDeterminism replays representative scenarios and demands
+// frozenDigest is one row of testdata/scenario_digests.txt.
+type frozenDigest struct {
+	name   string
+	seed   int64
+	digest string
+}
+
+// frozenDigests reads the table of every scenario's journal digest:
+// "name seed digest" per line, all of netsim.Matrix() followed by
+// netsim.MigrationFamily().
+func frozenDigests(t *testing.T) []frozenDigest {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/scenario_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []frozenDigest
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var row frozenDigest
+		if _, err := fmt.Sscanf(line, "%s %d %s", &row.name, &row.seed, &row.digest); err != nil {
+			t.Fatalf("scenario_digests.txt: %q: %v", line, err)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestScenarioDigestsFrozen pins the journal digest of every scenario.
+// A digest is the wire bytes of a whole session, so a send-path change
+// that claims to leave the wire alone is checked against this table,
+// not against prose. A change that means to move bytes regenerates the
+// row and says why.
+func TestScenarioDigestsFrozen(t *testing.T) {
+	rows := frozenDigests(t)
+	all := append(netsim.Matrix(), netsim.MigrationFamily()...)
+	if len(rows) != len(all) {
+		t.Fatalf("scenario_digests.txt has %d rows, the matrix and migration family hold %d scenarios", len(rows), len(all))
+	}
+	for i, sc := range all {
+		row := rows[i]
+		if row.name != sc.Name || row.seed != sc.Seed {
+			t.Fatalf("row %d is %s/%d, scenario %d is %s/%d", i, row.name, row.seed, i, sc.Name, sc.Seed)
+		}
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			res, err := netsim.Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest != row.digest {
+				t.Fatalf("digest %s, frozen %s", res.Digest, row.digest)
+			}
+		})
+	}
+}
+
+// replayTwice runs one scenario twice and demands byte-identical
+// journals.
+func replayTwice(t *testing.T, name string) {
+	sc, err := netsim.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := netsim.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := netsim.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Digest != b.Digest {
+		t.Fatalf("digest mismatch: %s vs %s", a.Digest, b.Digest)
+	}
+	if len(a.Journal) != len(b.Journal) {
+		t.Fatalf("journal length mismatch: %d vs %d", len(a.Journal), len(b.Journal))
+	}
+	for i := range a.Journal {
+		if a.Journal[i].Offset != b.Journal[i].Offset ||
+			!bytes.Equal(a.Journal[i].Packet, b.Journal[i].Packet) {
+			t.Fatalf("journal record %d differs between replays", i)
+		}
+	}
+	t.Logf("deterministic across replays: digest=%s (%d records)", a.Digest, len(a.Journal))
+}
+
+// TestScenarioDeterminism replays every frozen scenario and demands
 // byte-identical journals: same seed, same scenario, same trace. This is
 // the property that makes a matrix failure reproducible from nothing but
-// the scenario name and seed.
+// the scenario name and seed. Every scenario, not a sample: a digest
+// that depends on scheduling can hide in any one of them.
 func TestScenarioDeterminism(t *testing.T) {
-	for _, name := range []string{"burst-jitter", "tcp-backlog", "multicast-nack", "evict-mid-burst", "ladder-degrade-heal", "relay-tree", "relay-tree-nested"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sc, err := netsim.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := netsim.Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := netsim.Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Digest != b.Digest {
-				t.Fatalf("digest mismatch: %s vs %s", a.Digest, b.Digest)
-			}
-			if len(a.Journal) != len(b.Journal) {
-				t.Fatalf("journal length mismatch: %d vs %d", len(a.Journal), len(b.Journal))
-			}
-			for i := range a.Journal {
-				if a.Journal[i].Offset != b.Journal[i].Offset ||
-					!bytes.Equal(a.Journal[i].Packet, b.Journal[i].Packet) {
-					t.Fatalf("journal record %d differs between replays", i)
-				}
-			}
-			t.Logf("deterministic across replays: digest=%s (%d records)", a.Digest, len(a.Journal))
-		})
+	for _, row := range frozenDigests(t) {
+		name := row.name
+		t.Run(name, func(t *testing.T) { replayTwice(t, name) })
 	}
 }
 
