@@ -8,15 +8,13 @@ import (
 	"bytes"
 	"fmt"
 	"image"
-	"image/color"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
 	"appshare"
+	"appshare/internal/benchsuite"
 	"appshare/internal/bfcp"
-	"appshare/internal/capture"
 	"appshare/internal/codec"
 	"appshare/internal/core"
 	"appshare/internal/framing"
@@ -269,7 +267,7 @@ func BenchmarkE11Backlog(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer host.Close()
-			hostEnd, partEnd := benchStreamPair()
+			hostEnd, partEnd := benchsuite.StreamPair()
 			go io.Copy(io.Discard, partEnd)
 			if _, err := host.AttachStream("s", hostEnd, appshare.StreamOptions{BytesPerSecond: mode.rate}); err != nil {
 				b.Fatal(err)
@@ -453,266 +451,11 @@ func BenchmarkE18Validate(b *testing.B) {
 	}
 }
 
-// discardConn is a transport.PacketConn that accepts everything and
-// blocks Recv until Close — the cheapest possible UDP viewer, so the
-// fan-out benchmarks measure the host's send path, not a peer. It
-// implements transport.BatchSender so the sharded path's batched writes
-// take their fast path, as a real sendmmsg-backed socket would.
-type discardConn struct {
-	done chan struct{}
-	once sync.Once
-}
+// The benchmarks cmd/ads-bench records in BENCH_baseline.json and gates
+// CI on live in internal/benchsuite, sub-benchmark names included
+// (rects-8/parallel, ...), so both entry points run the same bodies.
 
-func newDiscardConn() *discardConn { return &discardConn{done: make(chan struct{})} }
-
-func (c *discardConn) Send(pkt []byte) error { return nil }
-
-func (c *discardConn) SendBatch(pkts [][]byte) (int, error) { return len(pkts), nil }
-
-func (c *discardConn) Recv() ([]byte, error) {
-	<-c.done
-	return nil, io.EOF
-}
-
-func (c *discardConn) Close() error {
-	c.once.Do(func() { close(c.done) })
-	return nil
-}
-
-// BenchmarkE22ShardedFanout measures one host tick fanning a small
-// dirty region out to large attached UDP populations: the viewers-vs-
-// tick-latency curve behind the sharded send path. "single-lock" pins
-// SendShards=1 (the pre-sharding path: one mutex, per-packet sends,
-// inline fan-out); "sharded" uses SendShards=0 (GOMAXPROCS shards, one
-// persistent sender goroutine each, batched writes). On a single-proc
-// run the two should be within noise of each other — the sharding win
-// needs real cores; the batching win shows up in allocs/op either way.
-func BenchmarkE22ShardedFanout(b *testing.B) {
-	for _, viewers := range []int{128, 1000, 4000, 10000} {
-		// sharded follows GOMAXPROCS (the production config; on a
-		// single-proc run it clamps to one shard and matches
-		// single-lock); sharded-x4 forces four sender goroutines plus
-		// the tick barrier so the coordination overhead is visible even
-		// without cores to spread across.
-		for _, mode := range []struct {
-			name   string
-			shards int
-		}{{"single-lock", 1}, {"sharded", 0}, {"sharded-x4", 4}} {
-			b.Run(fmt.Sprintf("viewers-%d/%s", viewers, mode.name), func(b *testing.B) {
-				desk := appshare.NewDesktop(640, 480)
-				win := desk.CreateWindow(1, appshare.XYWH(0, 0, 512, 384))
-				host, err := appshare.NewHost(appshare.HostConfig{
-					Desktop:    desk,
-					SendShards: mode.shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer host.Close()
-				for i := 0; i < viewers; i++ {
-					if _, err := host.AttachPacketConn(fmt.Sprintf("v%d", i), newDiscardConn(), appshare.PacketOptions{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				ty := workload.NewTyping(win, 64, 7)
-				if err := host.Tick(); err != nil { // drain initial damage
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ty.Step()
-					if err := host.Tick(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// benchStreamPair mirrors the test helper for benchmarks.
-func benchStreamPair() (a, b io.ReadWriteCloser) {
-	ar, bw := io.Pipe()
-	br, aw := io.Pipe()
-	a = &benchDuplex{Reader: ar, Writer: aw, c1: ar, c2: aw}
-	b = &benchDuplex{Reader: br, Writer: bw, c1: br, c2: bw}
-	return a, b
-}
-
-type benchDuplex struct {
-	io.Reader
-	io.Writer
-	c1, c2 io.Closer
-}
-
-func (d *benchDuplex) Close() error {
-	_ = d.c2.Close()
-	return d.c1.Close()
-}
-
-// BenchmarkE19ParallelEncode measures one capture tick encoding a
-// varying number of dirty rects, serial versus the GOMAXPROCS-sized
-// worker pool. The payload cache is disabled so every rect is a real
-// PNG encode; fill colors change per iteration so no tick is trivially
-// empty.
-func BenchmarkE19ParallelEncode(b *testing.B) {
-	for _, rects := range []int{2, 8, 16} {
-		for _, mode := range []struct {
-			name    string
-			workers int
-		}{{"serial", -1}, {"parallel", 0}} {
-			b.Run(fmt.Sprintf("rects-%d/%s", rects, mode.name), func(b *testing.B) {
-				desk := appshare.NewDesktop(1600, 1200)
-				win := desk.CreateWindow(1, appshare.XYWH(0, 0, 1536, 1152))
-				pipe, err := capture.New(desk, appshare.CaptureOptions{
-					EncodeWorkers: mode.workers,
-					CacheBytes:    -1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Drain the initial full-window damage so iterations
-				// measure steady-state dirty-rect encoding only.
-				if _, err := pipe.Tick(); err != nil {
-					b.Fatal(err)
-				}
-				var payload uint64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for r := 0; r < rects; r++ {
-						c := color.RGBA{R: byte(i), G: byte(r * 37), B: byte(i >> 8), A: 255}
-						win.Fill(appshare.XYWH((r%4)*380, (r/4)*280, 160, 120), c)
-					}
-					batch, err := pipe.Tick()
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, up := range batch.Updates {
-						payload += uint64(len(up.Msg.Content))
-					}
-				}
-				b.ReportMetric(float64(payload)/float64(b.N), "payload-bytes/tick")
-			})
-		}
-	}
-}
-
-// BenchmarkE20RefreshCache measures serving a full refresh to 8 stream
-// participants (a late-joiner storm) with the payload cache on versus
-// off. With the cache, static content is encoded once per window and
-// the other seven refreshes are pure hits; without it every refresh
-// re-encodes everything.
-func BenchmarkE20RefreshCache(b *testing.B) {
-	const joiners = 8
-	for _, mode := range []struct {
-		name       string
-		cacheBytes int
-	}{{"cache", 0}, {"nocache", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			desk := appshare.NewDesktop(1280, 1024)
-			win := desk.CreateWindow(1, appshare.XYWH(64, 48, 640, 480))
-			win.Fill(appshare.XYWH(0, 0, 640, 480), color.RGBA{R: 40, G: 90, B: 160, A: 255})
-			win.DrawText(16, 20, "static slide content", color.RGBA{A: 255})
-			host, err := appshare.NewHost(appshare.HostConfig{
-				Desktop: desk,
-				Capture: appshare.CaptureOptions{CacheBytes: mode.cacheBytes},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer host.Close()
-			var remotes []*appshare.Remote
-			for i := 0; i < joiners; i++ {
-				hostEnd, partEnd := benchStreamPair()
-				go io.Copy(io.Discard, partEnd)
-				r, err := host.AttachStream(fmt.Sprintf("p%d", i), hostEnd, appshare.StreamOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				remotes = append(remotes, r)
-			}
-			if err := host.Tick(); err != nil {
-				b.Fatal(err)
-			}
-			before := host.EncodeMetrics()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range remotes {
-					if err := host.RequestRefresh(r); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			m := host.EncodeMetrics()
-			jobs := (m.ParallelJobs + m.SerialJobs) - (before.ParallelJobs + before.SerialJobs)
-			encodes := jobs
-			if mode.cacheBytes >= 0 {
-				encodes = m.Cache.Misses - before.Cache.Misses
-				if lookups := (m.Cache.Hits + m.Cache.Misses) - (before.Cache.Hits + before.Cache.Misses); lookups > 0 {
-					hits := m.Cache.Hits - before.Cache.Hits
-					b.ReportMetric(float64(hits)/float64(lookups), "hit-rate")
-				}
-			}
-			// Encodes per 8-participant refresh storm: ~1 per window with
-			// the cache, ~8 per window without.
-			b.ReportMetric(float64(encodes)/float64(b.N), "encodes/fanout")
-		})
-	}
-}
-
-// BenchmarkE21LadderTiers measures one host tick delivering a video
-// region to a viewer pinned on each quality-ladder rung: the per-tier
-// cost a congested viewer pays (ns/op) and the wire bytes each tier
-// actually ships. Decimation should cut bytes by ~1/DecimateEvery,
-// the scaled tier by whatever the pixelation saves, and keyframe-only
-// to window-structure noise.
-func BenchmarkE21LadderTiers(b *testing.B) {
-	tiers := []struct {
-		name string
-		tier appshare.QualityTier
-	}{
-		{"full", appshare.TierFull},
-		{"decimated", appshare.TierDecimated},
-		{"scaled", appshare.TierScaled},
-		{"keyframe", appshare.TierKeyframeOnly},
-	}
-	for _, tc := range tiers {
-		b.Run(tc.name, func(b *testing.B) {
-			desk := appshare.NewDesktop(1280, 1024)
-			win := desk.CreateWindow(1, appshare.XYWH(100, 80, 512, 384))
-			// A generous backlog limit keeps Section 7 backpressure out of
-			// the measurement: the tier policy alone decides what ships.
-			host, err := appshare.NewHost(appshare.HostConfig{Desktop: desk, BacklogLimit: 8 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer host.Close()
-			hostEnd, partEnd := benchStreamPair()
-			go io.Copy(io.Discard, partEnd)
-			r, err := host.AttachStream("v", hostEnd, appshare.StreamOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			vid := workload.NewVideoRegion(win, appshare.XYWH(0, 0, 192, 144), 17)
-			if err := host.Tick(); err != nil { // drain attach-time state
-				b.Fatal(err)
-			}
-			r.PinQualityTier(tc.tier)
-			before := r.Health().SentOctets
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vid.Step()
-				if err := host.Tick(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			sent := r.Health().SentOctets - before
-			b.ReportMetric(float64(sent)/float64(b.N), "wire-bytes/tick")
-		})
-	}
-}
+func BenchmarkE19ParallelEncode(b *testing.B) { benchsuite.RunGroup(b, "E19ParallelEncode") }
+func BenchmarkE20RefreshCache(b *testing.B)   { benchsuite.RunGroup(b, "E20RefreshCache") }
+func BenchmarkE21LadderTiers(b *testing.B)    { benchsuite.RunGroup(b, "E21LadderTiers") }
+func BenchmarkE22ShardedFanout(b *testing.B)  { benchsuite.RunGroup(b, "E22ShardedFanout") }

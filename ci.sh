@@ -83,13 +83,10 @@ go run ./cmd/ads-bench -scenarios -scenario migrate-shards
 # nothing above compiles it: a product API change could break its build
 # unseen. Vet it and run its unit tests and topology smokes.
 (cd benchmark && go vet . && go test -short ./...)
-# Bench drift: re-measure the sharded fan-out tick latency and fail on
-# a >20% regression against the committed curve (absolute comparison
-# only when the environment matches the committed file; the fresh
-# sharded-vs-single-lock overhead check always applies).
-go run ./cmd/ads-bench -drift BENCH_sharded_fanout.json
-# Tile-store drift: re-measure the revisit-workload wire bytes and fail
-# when the store-on reduction drops below the 10x acceptance floor, or
-# when byte counts drift >10% against the committed file on a matching
-# Go version.
-go run ./cmd/ads-bench -tiles-drift BENCH_tilestore.json
+# Bench drift: re-measure every entry of BENCH_baseline.json that a
+# drift rule reads and apply the rules (cmd/ads-bench/suite.go; the
+# table is in EXPERIMENTS.md "Recorded benchmarks").
+go run ./cmd/ads-bench -drift BENCH_baseline.json
+# The same benchmark bodies through their other entry point, one
+# iteration each, so neither side can rot unseen.
+go test -run '^$' -bench 'E19|E20|E21|E22ShardedFanout/viewers-128' -benchtime 1x .

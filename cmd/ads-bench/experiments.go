@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"io"
 	"log"
 	"time"
 
 	"appshare"
 	"appshare/internal/apps"
+	"appshare/internal/benchsuite"
 	"appshare/internal/bfcp"
 	"appshare/internal/capture"
 	"appshare/internal/codec"
+	"appshare/internal/framing"
 	"appshare/internal/remoting"
 	"appshare/internal/stats"
 	"appshare/internal/workload"
@@ -258,6 +261,18 @@ func runE10Codecs() {
 	}
 }
 
+// pumpStream feeds framed remoting packets into a participant until EOF.
+func pumpStream(p *appshare.Participant, src io.Reader) {
+	fr := framing.NewReader(src)
+	for {
+		pkt, err := fr.ReadFrame()
+		if err != nil {
+			return
+		}
+		_ = p.HandlePacket(pkt)
+	}
+}
+
 // runE11Backlog compares screen freshness on a slow TCP link with the
 // Section 7 coalescing on and off.
 func runE11Backlog() {
@@ -274,7 +289,7 @@ func runE11Backlog() {
 			log.Fatal(err)
 		}
 		defer host.Close()
-		hostEnd, partEnd := streamPair()
+		hostEnd, partEnd := benchsuite.StreamPair()
 		p := appshare.NewParticipant(appshare.ParticipantConfig{})
 		go pumpStream(p, partEnd)
 		remote, err := host.AttachStream("slow", hostEnd, appshare.StreamOptions{

@@ -16,6 +16,11 @@
 //
 //	ads-bench -scenarios
 //	ads-bench -scenarios -scenario burst-jitter -seed 7
+//
+// The recorded benchmarks and their CI drift gate (suite.go):
+//
+//	ads-bench -baseline BENCH_baseline.json
+//	ads-bench -drift BENCH_baseline.json
 package main
 
 import (
@@ -37,11 +42,8 @@ func main() {
 	scenarios := flag.Bool("scenarios", false, "run the deterministic network-simulation matrix instead of experiments")
 	scenario := flag.String("scenario", "", "with -scenarios: run only this scenario (default: full matrix)")
 	seed := flag.Int64("seed", 0, "with -scenarios: override every scenario's seed (0 = built-in seeds)")
-	baseline := flag.String("baseline", "", "run the tracked pipeline benchmarks (E19/E20/E21) and write JSON to this path (- for stdout)")
-	fanout := flag.String("fanout", "", "run the sharded fan-out benchmarks (E22) and write JSON to this path (- for stdout)")
-	drift := flag.String("drift", "", "re-measure the fan-out benchmarks and fail on >20% tick-latency regression against this committed JSON")
-	tiles := flag.String("tiles", "", "run the tile-store wire-byte benchmarks over the revisit workloads and write JSON to this path (- for stdout)")
-	tilesDrift := flag.String("tiles-drift", "", "re-measure the tile-store benchmarks and fail when the reduction drops below 10x or bytes drift >10% against this committed JSON")
+	baseline := flag.String("baseline", "", "run every tracked benchmark (internal/benchsuite) and write the results as JSON to this path (- for stdout)")
+	drift := flag.String("drift", "", "re-measure the gated benchmarks and fail if a drift rule breaks against this committed JSON")
 	flag.Parse()
 
 	if *baseline != "" {
@@ -50,26 +52,8 @@ func main() {
 		}
 		return
 	}
-	if *fanout != "" {
-		if err := runFanout(*fanout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *drift != "" {
 		if err := runDrift(*drift); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *tiles != "" {
-		if err := runTiles(*tiles); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *tilesDrift != "" {
-		if err := runTilesDrift(*tilesDrift); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -1,8 +1,12 @@
 package appshare_test
 
 import (
+	"reflect"
 	"testing"
 
+	"appshare"
+	"appshare/internal/ah"
+	"appshare/internal/benchsuite"
 	"appshare/internal/bfcp"
 	"appshare/internal/core"
 	"appshare/internal/hip"
@@ -108,5 +112,71 @@ func FuzzReassemblerPush(f *testing.F) {
 		ra := core.NewReassembler()
 		_, _ = ra.Push(payload, marker)
 		_, _ = ra.Push(payload, !marker)
+	})
+}
+
+// FuzzSessionSnapshotDecode covers the snapshot a standby host receives
+// from the broker: whatever decodes must re-encode and decode to the
+// same snapshot.
+func FuzzSessionSnapshotDecode(f *testing.F) {
+	desk := appshare.NewDesktop(64, 48)
+	desk.CreateWindow(1, appshare.XYWH(4, 4, 32, 24))
+	host, err := appshare.NewHost(appshare.HostConfig{Desktop: desk, Retransmissions: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer host.Close()
+	if _, err := host.AttachPacketConn("v", benchsuite.NewDiscardConn(nil), appshare.PacketOptions{}); err != nil {
+		f.Fatal(err)
+	}
+	if err := host.Tick(); err != nil { // ship the window: the retransmit log is in the seed
+		f.Fatal(err)
+	}
+	snap, err := host.SnapshotSession()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := snap.Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ah.UnmarshalSessionSnapshot(data)
+		if err != nil {
+			return
+		}
+		enc, err := s.Marshal()
+		if err != nil {
+			t.Fatalf("re-marshal of a decoded snapshot failed: %v", err)
+		}
+		again, err := ah.UnmarshalSessionSnapshot(enc)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatal("decode → encode → decode changed the snapshot")
+		}
+	})
+}
+
+// FuzzFloorStateDecode covers the floor state riding the same broker
+// record, with the same identity property.
+func FuzzFloorStateDecode(f *testing.F) {
+	f.Add(bfcp.FloorState{ConferenceID: 7}.Marshal())
+	f.Add(bfcp.FloorState{ConferenceID: 7, Holder: 10, HasHolder: true, Queue: []uint16{11, 12},
+		Status: bfcp.StateMouseAllowed, NextTx: 5}.Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := bfcp.UnmarshalFloorState(data)
+		if err != nil {
+			return
+		}
+		again, err := bfcp.UnmarshalFloorState(s.Marshal())
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("decode → encode → decode changed the state: %+v vs %+v", s, again)
+		}
 	})
 }

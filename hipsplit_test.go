@@ -1,31 +1,12 @@
 package appshare_test
 
 import (
-	"io"
 	"testing"
 
 	"appshare"
 	"appshare/internal/apps"
+	"appshare/internal/benchsuite"
 )
-
-// pipeDuplex adapts io.Pipe pairs into a ReadWriteCloser duplex.
-type pipeDuplex struct {
-	io.Reader
-	io.Writer
-	c1, c2 io.Closer
-}
-
-func (d *pipeDuplex) Close() error {
-	_ = d.c2.Close()
-	return d.c1.Close()
-}
-
-func duplexPair() (a, b io.ReadWriteCloser) {
-	ar, bw := io.Pipe()
-	br, aw := io.Pipe()
-	return &pipeDuplex{Reader: ar, Writer: aw, c1: ar, c2: aw},
-		&pipeDuplex{Reader: br, Writer: bw, c1: br, c2: bw}
-}
 
 // TestSeparateHIPConnection runs the draft's two-port layout: remoting
 // on one stream, HIP on a second, associated out of band — and verifies
@@ -41,7 +22,7 @@ func TestSeparateHIPConnection(t *testing.T) {
 	defer host.Close()
 
 	// Remoting connection ("port 6000").
-	remHost, remPart := duplexPair()
+	remHost, remPart := benchsuite.StreamPair()
 	p := appshare.NewParticipant(appshare.ParticipantConfig{})
 	conn := appshare.ConnectStream(p, remPart)
 	defer conn.Close()
@@ -52,7 +33,7 @@ func TestSeparateHIPConnection(t *testing.T) {
 	waitFor(t, "join", func() bool { return len(p.Windows()) == 1 })
 
 	// Dedicated HIP connection ("port 6006"), associated out of band.
-	hipHost, hipPart := duplexPair()
+	hipHost, hipPart := benchsuite.StreamPair()
 	if got := host.FindRemote("p1"); got != remote {
 		t.Fatal("FindRemote failed")
 	}

@@ -90,7 +90,7 @@ func UnmarshalFloorState(b []byte) (FloorState, error) {
 	s.Status = HIDStatus(r.Uint16())
 	s.NextTx = r.Uint16()
 	n := int(r.Uint16())
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ { // a truncated queue stops here, not after n appends
 		s.Queue = append(s.Queue, r.Uint16())
 	}
 	if r.Err() != nil {
