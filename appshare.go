@@ -67,15 +67,12 @@ type (
 	// RemoteHealth is a liveness snapshot of one attached or recently
 	// evicted remote (see Host.RemoteHealth).
 	RemoteHealth = ah.RemoteHealth
-	// HealthState is a remote's lifecycle state (healthy → degraded →
-	// evicted).
+	// HealthState summarises a remote (healthy / degraded / evicted); it
+	// is derived from RemoteHealth.Tier and RemoteHealth.EvictReason.
 	HealthState = ah.HealthState
-	// EvictionPolicy selects how the host's health sweep reacts to
-	// sustained congestion.
-	EvictionPolicy = ah.EvictionPolicy
 	// LadderConfig tunes the congestion-adaptive quality ladder; assign
 	// a non-nil *LadderConfig to HostConfig.Ladder to enable it (see
-	// DESIGN.md "Congestion-adaptive quality ladder").
+	// DESIGN.md "Slow viewers: quality ladder & eviction").
 	LadderConfig = ah.LadderConfig
 	// TileStoreConfig tunes the persistent tile store; assign a non-nil
 	// *TileStoreConfig to HostConfig.TileStore to enable cross-tick
@@ -193,13 +190,6 @@ const (
 	HealthEvicted  = ah.HealthEvicted
 )
 
-// Eviction policies for the host's health sweep.
-const (
-	EvictionMonitor         = ah.EvictionMonitor
-	EvictionDegrade         = ah.EvictionDegrade
-	EvictionDegradeThenDrop = ah.EvictionDegradeThenDrop
-)
-
 // Quality-ladder tiers, ordered full fidelity first (see
 // HostConfig.Ladder and Remote.QualityTier).
 const (
@@ -211,10 +201,6 @@ const (
 
 // ErrHostClosed is returned by operations on a closed Host.
 var ErrHostClosed = ah.ErrHostClosed
-
-// ParseEvictionPolicy maps "monitor", "degrade" or "drop" to a policy
-// (flag plumbing for cmd/ads-host and friends).
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) { return ah.ParseEvictionPolicy(s) }
 
 // NewDesktop returns a virtual desktop of the given pixel size.
 func NewDesktop(width, height int) *Desktop { return display.NewDesktop(width, height) }

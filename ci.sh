@@ -10,14 +10,11 @@ cd "$(dirname "$0")"
 go vet ./...
 go build ./...
 go test -race ./...
-# Flake gate: the liveness/eviction tests mix a virtual clock with real
-# goroutine scheduling, so run them repeatedly under -race to shake out
-# timing sensitivity before it lands.
-go test -race -count=5 -run Liveness . ./internal/ah ./internal/transport
-# Same treatment for the quality-ladder tests: the controller mixes the
-# virtual sweep clock with real sink goroutines, and its hysteresis
-# assertions are exactly the kind that only flake under load.
-go test -race -count=5 -run Ladder . ./internal/ah
+# Flake gate for the slow-viewer mechanism (quality ladder + eviction
+# budgets): its tests mix the virtual sweep clock with real sink
+# goroutines, and the hysteresis and dwell assertions are exactly the
+# kind that only flake under load — rerun them under -race.
+go test -race -count=5 -run 'Liveness|Ladder' . ./internal/ah ./internal/transport
 # Scenario-matrix smoke: every netsim profile with all oracles and the
 # planted-fault mutation checks, under the race detector (short
 # profiles, fixed seeds — see EXPERIMENTS.md Section C).

@@ -3,20 +3,17 @@ package main
 import (
 	"fmt"
 	"image"
-	"image/color"
 	"io"
 	"log"
 	"time"
 
 	"appshare"
-	"appshare/internal/apps"
 	"appshare/internal/benchsuite"
 	"appshare/internal/bfcp"
 	"appshare/internal/capture"
 	"appshare/internal/codec"
 	"appshare/internal/framing"
 	"appshare/internal/remoting"
-	"appshare/internal/stats"
 	"appshare/internal/workload"
 )
 
@@ -318,51 +315,6 @@ func runE11Backlog() {
 	fmt.Printf("queued-backlog reduction: %.1fx\n", float64(nQueue+1)/float64(cQueue+1))
 }
 
-// runE12Fanout measures tick cost and published bytes versus multicast
-// subscriber count: one encode serves any audience size.
-func runE12Fanout() {
-	fmt.Printf("%14s %14s %16s\n", "subscribers", "tick time", "bytes per tick")
-	for _, n := range []int{1, 4, 16, 64} {
-		desk := appshare.NewDesktop(1280, 1024)
-		win := desk.CreateWindow(1, appshare.XYWH(100, 80, 512, 384))
-		st := appshare.NewStats()
-		host, err := appshare.NewHost(appshare.HostConfig{Desktop: desk, Stats: st})
-		if err != nil {
-			log.Fatal(err)
-		}
-		bus := appshare.NewBus()
-		for i := 0; i < n; i++ {
-			sub := bus.Subscribe(appshare.LinkConfig{Seed: int64(i + 1)})
-			go func() {
-				for {
-					if _, err := sub.Recv(); err != nil {
-						return
-					}
-				}
-			}()
-		}
-		if _, err := host.AttachMulticast("group", bus); err != nil {
-			log.Fatal(err)
-		}
-		ty := workload.NewTyping(win, 64, 21)
-		if err := host.Tick(); err != nil {
-			log.Fatal(err)
-		}
-		st.Reset()
-		const ticks = 30
-		start := time.Now()
-		for i := 0; i < ticks; i++ {
-			ty.Step()
-			if err := host.Tick(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		per := time.Since(start) / ticks
-		fmt.Printf("%14d %14v %16d\n", n, per.Round(time.Microsecond), st.Total().Bytes/ticks)
-		host.Close()
-	}
-}
-
 // runE15Floor measures floor grant churn through the FIFO queue.
 func runE15Floor() {
 	const users = 200
@@ -444,87 +396,4 @@ func runE19CaptureModes() {
 	fmt.Printf("%-28s %14v %16d\n", "journal (window events)", jTime.Round(time.Microsecond), jBytes)
 	fmt.Printf("%-28s %14v %16d\n", "polling (hash+scrolldetect)", pTime.Round(time.Microsecond), pBytes)
 	fmt.Printf("polling CPU overhead: %.1fx\n", float64(pTime)/float64(jTime))
-}
-
-// runE20Latency measures end-to-end interaction latency — the remote
-// desktop headline metric: a HIP click leaves the participant, the AH
-// validates and regenerates it, the application repaints, the next tick
-// encodes the damage, and the update arrives back. The capture tick rate
-// dominates, exactly as in production sharing systems.
-func runE20Latency() {
-	fmt.Printf("%10s %12s %12s %12s\n", "tick rate", "p50", "p95", "max")
-	for _, fps := range []int{5, 10, 30, 60} {
-		desk := appshare.NewDesktop(800, 600)
-		win := desk.CreateWindow(1, appshare.XYWH(50, 50, 400, 300))
-		button := apps.NewButton(win, appshare.XYWH(20, 20, 120, 40), "Ping")
-		host, err := appshare.NewHost(appshare.HostConfig{Desktop: desk})
-		if err != nil {
-			log.Fatal(err)
-		}
-		hostSide, partSide := appshare.SimulatedLink(appshare.LinkConfig{Seed: 1}, appshare.LinkConfig{Seed: 2})
-		if _, err := host.AttachPacketConn("p", hostSide, appshare.PacketOptions{}); err != nil {
-			log.Fatal(err)
-		}
-		p := appshare.NewParticipant(appshare.ParticipantConfig{})
-		conn := appshare.ConnectPacket(p, partSide)
-		// The tick loop starts first: PLI refreshes and queued input are
-		// served at ticks.
-		stop := make(chan struct{})
-		go func() {
-			ticker := time.NewTicker(time.Second / time.Duration(fps))
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					if err := host.Tick(); err != nil {
-						return
-					}
-				}
-			}
-		}()
-		if err := conn.SendPLI(); err != nil {
-			log.Fatal(err)
-		}
-		waitUntil(func() bool { return len(p.Windows()) == 1 })
-
-		hist := stats.NewHistogram()
-		onColor := color.RGBA{0x30, 0xC8, 0x30, 0xFF}
-		offColor := color.RGBA{0xC8, 0x30, 0x30, 0xFF}
-		period := time.Second / time.Duration(fps)
-		for i := 0; i < 30; i++ {
-			// Stagger probes across the tick phase; otherwise every
-			// click lands right after a tick and p50 reads a full
-			// period instead of the expected half.
-			time.Sleep(time.Duration(i%7) * period / 7)
-			wantOn := !button.On()
-			want := onColor
-			if !wantOn {
-				want = offColor
-			}
-			start := time.Now()
-			if err := conn.Click(win.ID(), 80, 80, appshare.ButtonLeft); err != nil {
-				log.Fatal(err)
-			}
-			for {
-				img := p.WindowImage(win.ID())
-				if img != nil && img.RGBAAt(25, 25) == want {
-					break
-				}
-				if time.Since(start) > 5*time.Second {
-					log.Fatal("latency probe timed out")
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-			hist.Add(time.Since(start))
-		}
-		close(stop)
-		fmt.Printf("%7d/s %12v %12v %12v\n", fps,
-			hist.Quantile(0.5).Round(time.Millisecond),
-			hist.Quantile(0.95).Round(time.Millisecond),
-			hist.Max().Round(time.Millisecond))
-		conn.Close()
-		host.Close()
-	}
 }

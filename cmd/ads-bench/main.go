@@ -72,10 +72,8 @@ func main() {
 		{"E09", "NACK loss repair vs loss rate (Section 5.3.2)", runE09NACK},
 		{"E10", "codec x content matrix (Section 4.2)", runE10Codecs},
 		{"E11", "backlog-aware sending on a slow link (Section 7)", runE11Backlog},
-		{"E12", "fan-out cost vs participant count (Section 4.2)", runE12Fanout},
 		{"E15", "BFCP floor control churn (Appendix A)", runE15Floor},
 		{"E19", "event-driven vs polling capture (Section 4.2)", runE19CaptureModes},
-		{"E20", "click-to-photon interaction latency vs tick rate", runE20Latency},
 	}
 
 	want := map[string]bool{}

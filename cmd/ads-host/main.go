@@ -35,8 +35,7 @@ func main() {
 		printSDP  = flag.Bool("sdp", false, "print the session SDP offer and exit")
 
 		remoteTimeout = flag.Duration("remote-timeout", 0, "evict a participant silent for this long (0 = never)")
-		backlogDwell  = flag.Duration("backlog-dwell", 0, "congestion budget before degrade/evict (0 = off)")
-		eviction      = flag.String("eviction", "monitor", "congestion policy: monitor|degrade|drop")
+		backlogDwell  = flag.Duration("backlog-dwell", 0, "evict a participant backlogged or stalled for this long (0 = never)")
 		readIdle      = flag.Duration("read-idle", 0, "drop a TCP participant sending nothing for this long (0 = never)")
 
 		ladder        = flag.Bool("quality-ladder", false, "enable the per-participant congestion-adaptive quality ladder")
@@ -105,10 +104,6 @@ func main() {
 		log.Fatalf("unknown workload %q", *wl)
 	}
 
-	policy, err := appshare.ParseEvictionPolicy(*eviction)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var tileCfg *appshare.TileStoreConfig
 	if *tileStore {
 		tileCfg = &appshare.TileStoreConfig{}
@@ -129,7 +124,6 @@ func main() {
 		Capture:         appshare.CaptureOptions{AutoSelect: *autoCodec},
 		RemoteTimeout:   *remoteTimeout,
 		MaxBacklogDwell: *backlogDwell,
-		EvictionPolicy:  policy,
 		Ladder:          ladderCfg,
 		SendShards:      *sendShards,
 		TileStore:       tileCfg,
@@ -194,11 +188,11 @@ func main() {
 				log.Printf("rtcp reports: %v", err)
 			}
 			for _, hs := range host.RemoteHealth() {
-				if hs.State == appshare.HealthHealthy && hs.Tier == appshare.TierFull {
+				if hs.Tier == appshare.TierFull && hs.EvictReason == "" {
 					continue
 				}
-				log.Printf("participant %s %s tier=%s: backlog %dB dwell %v stall %v flaps=%d reason=%q",
-					hs.ID, hs.State, hs.Tier, hs.QueuedBytes, hs.BacklogDwell, hs.SendStall, hs.TierFlaps, hs.EvictReason)
+				log.Printf("participant %s tier=%s: backlog %dB dwell %v stall %v flaps=%d evicted=%q",
+					hs.ID, hs.Tier, hs.QueuedBytes, hs.BacklogDwell, hs.SendStall, hs.TierFlaps, hs.EvictReason)
 			}
 		case <-stop:
 			if *showStats {

@@ -84,25 +84,22 @@ type Config struct {
 	// shared application loses the focus".
 	AutoHIDStatus bool
 	// RemoteTimeout, when positive, evicts a remote from which nothing
-	// (HIP or RTCP) has been heard for this long. It is an independent
-	// liveness opt-in and applies under every EvictionPolicy. Zero
-	// disables liveness eviction.
+	// (HIP or RTCP) has been heard for this long. Zero disables liveness
+	// eviction.
 	RemoteTimeout time.Duration
-	// MaxBacklogDwell, when positive, is the congestion budget of the
-	// health sweep: a remote continuously above its backlog limit (or
-	// with a stalled writer) is demoted to keyframe-only degraded mode
-	// at half this budget and, under EvictionDegradeThenDrop, evicted at
-	// the full budget. Zero disables congestion handling.
+	// MaxBacklogDwell, when positive, is the eviction budget for
+	// congestion: a remote continuously above its backlog limit (or with
+	// a stalled writer) for this long is evicted. Zero never evicts for
+	// congestion. Independent of Ladder, which decides what a congested
+	// remote is sent while it stays attached.
 	MaxBacklogDwell time.Duration
-	// EvictionPolicy selects how the health sweep reacts to sustained
-	// congestion (default EvictionMonitor: observe only).
-	EvictionPolicy EvictionPolicy
 	// OnEvict, when non-nil, is called (outside host locks) with the
 	// final health snapshot of every remote the sweep evicts.
 	OnEvict func(RemoteHealth)
 	// Ladder, when non-nil, enables the congestion-adaptive quality
-	// ladder (see ladder.go): the health sweep walks each remote through
-	// ordered delivery tiers instead of the binary degrade check.
+	// ladder (see ladder.go): the health sweep walks each congested
+	// remote through ordered delivery tiers. nil leaves every remote at
+	// full fidelity (Section 7 deferral only).
 	// Zero-valued fields take the ladder defaults. The config is copied
 	// at New; later mutation has no effect.
 	Ladder *LadderConfig
@@ -419,16 +416,10 @@ func (h *Host) captureFullRefresh() (*capture.Batch, error) {
 	return h.pipeline.FullRefresh()
 }
 
-// encodeRegion re-captures one deferred region under the capture lock.
-func (h *Host) encodeRegion(rect region.Rect) ([]capture.Update, error) {
-	h.capMu.Lock()
-	defer h.capMu.Unlock()
-	return h.pipeline.EncodeRegion(rect)
-}
-
-// encodeRegionDegraded re-captures one deferred region pixelated at the
-// given block size — the TierScaled encode variant.
-func (h *Host) encodeRegionDegraded(rect region.Rect, block int) ([]capture.Update, error) {
+// encodeRegion re-captures one deferred region under the capture lock,
+// pixelated at the given block size (the TierScaled variant; 0 = full
+// fidelity).
+func (h *Host) encodeRegion(rect region.Rect, block int) ([]capture.Update, error) {
 	h.capMu.Lock()
 	defer h.capMu.Unlock()
 	return h.pipeline.EncodeRegionDegraded(rect, block)
@@ -603,7 +594,6 @@ func (h *Host) insertRemote(r *Remote, unique bool) error {
 	s := r.sh
 	s.Mu.Lock()
 	r.attachedAt = now
-	r.healthSince = now
 	r.tierSince = now
 	if h.cfg.Ladder != nil {
 		r.promoteWait = h.cfg.Ladder.PromoteAfter

@@ -239,7 +239,8 @@ func TestPLILateJoin(t *testing.T) {
 	if err := h.Tick(); err != nil { // refresh is served on the next tick
 		t.Fatal(err)
 	}
-	settle()
+	// The pointer is the refresh's last message.
+	waitFor(t, "the refresh to land", func() bool { _, _, known := p.Pointer(); return known })
 
 	// Full state arrived: WindowManagerInfo + full screen + pointer.
 	if got := p.Windows(); len(got) != 1 || got[0] != w.ID() {

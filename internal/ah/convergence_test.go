@@ -46,6 +46,7 @@ func TestScreenConvergence(t *testing.T) {
 				transport.LinkConfig{Seed: seed + 100},
 			)
 			p := participant.New(participant.Config{})
+			var handled atomic.Uint64
 			go func() {
 				for {
 					pkt, err := partConn.Recv()
@@ -53,6 +54,7 @@ func TestScreenConvergence(t *testing.T) {
 						return
 					}
 					_ = p.HandlePacket(pkt)
+					handled.Add(1)
 				}
 			}()
 			if _, err := h.AttachPacketConn("conv", hostConn, PacketOptions{}); err != nil {
@@ -88,11 +90,14 @@ func TestScreenConvergence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Final quiescent tick and settle.
+			// Final quiescent tick, then wait until the pump has handled
+			// every datagram the lossless link carried.
 			if err := h.Tick(); err != nil {
 				t.Fatal(err)
 			}
-			settle()
+			waitFor(t, "receive pump to drain the link", func() bool {
+				return handled.Load() == delivered(hostConn, partConn)
+			})
 
 			for _, win := range []*display.Window{w1, w2} {
 				want := win.Snapshot()
@@ -169,13 +174,10 @@ func TestScreenConvergenceUnderLossWithRepair(t *testing.T) {
 			handled.Add(1)
 		}
 	}()
-	type linkStats interface{ Stats() (sent, dropped uint64) }
 	drain := func() {
 		t.Helper()
 		waitFor(t, "receive pump to drain the link", func() bool {
-			sent, lost := hostConn.(linkStats).Stats()
-			_, overflowed := partConn.(linkStats).Stats()
-			return handled.Load() == sent-lost-overflowed
+			return handled.Load() == delivered(hostConn, partConn)
 		})
 	}
 	// feedback sends one RTCP packet upstream (that direction is
@@ -258,6 +260,16 @@ func TestScreenConvergenceUnderLossWithRepair(t *testing.T) {
 	if got == nil || !bytes.Equal(got.Pix, want.Pix) {
 		t.Fatal("screens did not converge after loss repair")
 	}
+}
+
+// delivered is how many datagrams a transport.Pipe has handed (or will
+// hand) to the receiving end: sent minus dropped on the host-side
+// endpoint, minus receive-queue overflow counted on the participant side.
+func delivered(hostConn, partConn transport.PacketConn) uint64 {
+	type linkStats interface{ Stats() (sent, dropped uint64) }
+	sent, lost := hostConn.(linkStats).Stats()
+	_, overflowed := partConn.(linkStats).Stats()
+	return sent - lost - overflowed
 }
 
 // waitFor polls cond until it holds; the test fails if it has not within

@@ -8,28 +8,28 @@ import (
 	"appshare/internal/rtcp"
 )
 
-// Remote liveness and eviction (see DESIGN.md "Remote liveness &
-// eviction"). The draft's Section 7 tells the AH to watch per-participant
-// TCP backlog and defer screen data — but deferring forever lets one dead
-// or wedged viewer pin retransmit-log and pending-region memory for the
-// rest of the session. The health subsystem closes that loop: every Tick
-// sweeps the attached remotes against the configured policies, demotes
-// congested ones to keyframe-only degraded mode, and finally evicts them
-// with a recorded detach reason.
+// Remote liveness and eviction (see DESIGN.md "Slow viewers: quality
+// ladder & eviction"). The draft's Section 7 tells the AH to watch
+// per-participant TCP backlog and defer screen data — but deferring
+// forever lets one dead or wedged viewer pin retransmit-log and
+// pending-region memory for the rest of the session. Every Tick sweeps
+// the attached remotes: the quality ladder (ladder.go) decides what a
+// congested remote is sent, and the two budgets here (RemoteTimeout,
+// MaxBacklogDwell) decide when it is detached, with a recorded reason.
 
-// HealthState is the lifecycle state of an attached remote.
+// HealthState summarises a remote for RemoteHealth consumers. It is not
+// stored: healthState derives it from the ladder rung and the evict
+// reason at snapshot time.
 type HealthState int
 
 const (
-	// HealthHealthy: the remote keeps up; full incremental updates flow.
+	// HealthHealthy: pixels flow (at full, decimated or scaled fidelity).
 	HealthHealthy HealthState = iota
-	// HealthDegraded: the remote has dwelled above its backlog limit (or
-	// its writer has stalled) past the degrade threshold. Incremental
-	// screen detail is dropped instead of accumulated; the remote owes a
-	// single full refresh (a "keyframe") once its link drains.
+	// HealthDegraded: the remote sits on TierKeyframeOnly — pixel data is
+	// withheld and one full refresh is owed on promotion.
 	HealthDegraded
-	// HealthEvicted: the remote has been detached by policy; its
-	// RemoteHealth snapshot carries the reason.
+	// HealthEvicted: the sweep has detached the remote; its RemoteHealth
+	// snapshot carries the reason.
 	HealthEvicted
 )
 
@@ -47,50 +47,16 @@ func (s HealthState) String() string {
 	}
 }
 
-// EvictionPolicy selects how the health sweep reacts to sustained
-// congestion (backlog dwell, send stalls). Liveness timeouts
-// (Config.RemoteTimeout) are an independent opt-in and evict under every
-// policy.
-type EvictionPolicy int
-
-const (
-	// EvictionMonitor (default): track health signals and surface them
-	// through RemoteHealth, but never change delivery or detach anyone.
-	EvictionMonitor EvictionPolicy = iota
-	// EvictionDegrade: demote congested remotes to keyframe-only degraded
-	// mode (and promote them back when they drain), but never evict.
-	EvictionDegrade
-	// EvictionDegradeThenDrop: degrade at half the dwell budget, evict at
-	// the full Config.MaxBacklogDwell.
-	EvictionDegradeThenDrop
-)
-
-// String implements fmt.Stringer.
-func (p EvictionPolicy) String() string {
-	switch p {
-	case EvictionMonitor:
-		return "monitor"
-	case EvictionDegrade:
-		return "degrade"
-	case EvictionDegradeThenDrop:
-		return "drop"
+// healthState is the whole definition of HealthState: a pure function of
+// the ladder rung and the evict reason.
+func healthState(tier QualityTier, evictReason string) HealthState {
+	switch {
+	case evictReason != "":
+		return HealthEvicted
+	case tier == TierKeyframeOnly:
+		return HealthDegraded
 	default:
-		return fmt.Sprintf("EvictionPolicy(%d)", int(p))
-	}
-}
-
-// ParseEvictionPolicy maps the flag spellings ("monitor", "degrade",
-// "drop") to a policy.
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) {
-	switch s {
-	case "", "monitor":
-		return EvictionMonitor, nil
-	case "degrade":
-		return EvictionDegrade, nil
-	case "drop", "evict":
-		return EvictionDegradeThenDrop, nil
-	default:
-		return EvictionMonitor, fmt.Errorf("ah: unknown eviction policy %q (monitor|degrade|drop)", s)
+		return HealthHealthy
 	}
 }
 
@@ -101,10 +67,8 @@ type RemoteHealth struct {
 	ID string
 	// UserID is the remote's BFCP identity.
 	UserID uint16
-	// State is the current lifecycle state.
+	// State is the lifecycle summary derived from Tier and EvictReason.
 	State HealthState
-	// Since is when the current state was entered.
-	Since time.Time
 	// LastHeard is when the last packet of any kind (HIP or RTCP)
 	// arrived from the remote; zero if it has never spoken.
 	LastHeard time.Time
@@ -146,8 +110,8 @@ type RemoteHealth struct {
 	EvictReason string
 	// EvictedAt is when the eviction happened (zero while attached).
 	EvictedAt time.Time
-	// Tier is the current quality-ladder rung (TierFull when the ladder
-	// is disabled and the remote is healthy; see ladder.go).
+	// Tier is the current quality-ladder rung (TierFull unless the ladder
+	// or PinQualityTier moved the remote; see ladder.go).
 	Tier QualityTier
 	// TierSince is when the current tier was entered (zero when the
 	// ladder has never moved this remote).
@@ -200,8 +164,7 @@ func (r *Remote) healthSnapshotLocked(now time.Time) RemoteHealth {
 	hs := RemoteHealth{
 		ID:              r.id,
 		UserID:          r.userID,
-		State:           r.health,
-		Since:           r.healthSince,
+		State:           healthState(r.tier, r.evictReason),
 		LastHeard:       r.lastHeard,
 		LastRR:          r.lastRRAt,
 		RTT:             r.rtt,
@@ -216,7 +179,7 @@ func (r *Remote) healthSnapshotLocked(now time.Time) RemoteHealth {
 		DrainedBytes:    drained,
 		DiscardedBytes:  discarded,
 		EvictReason:     r.evictReason,
-		Tier:            r.effectiveTierLocked(),
+		Tier:            r.tier,
 		TierSince:       r.tierSince,
 		TierTransitions: r.tierTransitions,
 		TierFlaps:       r.tierFlaps,
@@ -256,14 +219,15 @@ type evicted struct {
 }
 
 // sweepHealth runs the per-Tick health pass (at tick start, so the
-// backlog sample reflects the whole previous interval): it maintains each
-// remote's backlog-dwell clock, applies the degrade policy, and selects
-// remotes for eviction. The sweep walks the shards one at a time under
-// each shard's lock; detached remotes are removed from their shard map
-// immediately (so no further fan-out reaches them) and returned for
-// transport teardown outside all locks. The eviction log is appended
-// under h.mu afterwards (lock order forbids taking it under a shard
-// lock's critical section — and nothing requires it there).
+// backlog sample reflects the whole previous interval): it samples each
+// remote's backlog once, maintains the dwell clock from it, selects
+// remotes for eviction and hands the same sample to the quality ladder.
+// The sweep walks the shards one at a time under each shard's lock;
+// detached remotes are removed from their shard map immediately (so no
+// further fan-out reaches them) and returned for transport teardown
+// outside all locks. The eviction log is appended under h.mu afterwards
+// (lock order forbids taking it under a shard lock's critical section —
+// and nothing requires it there).
 func (h *Host) sweepHealth(now time.Time) []evicted {
 	var out []evicted
 	for _, s := range h.shards {
@@ -271,7 +235,8 @@ func (h *Host) sweepHealth(now time.Time) []evicted {
 		for r := range s.remotes {
 			// Dwell clock: starts when the sink first reports backlog above
 			// limit and clears as soon as it drops back under.
-			if r.sink.backlogged(0) {
+			backlogged := r.sink.backlogged(0)
+			if backlogged {
 				if r.backlogHighSince.IsZero() {
 					r.backlogHighSince = now
 				}
@@ -280,8 +245,6 @@ func (h *Host) sweepHealth(now time.Time) []evicted {
 			}
 
 			if reason := h.evictReasonLocked(r, now); reason != "" {
-				r.health = HealthEvicted
-				r.healthSince = now
 				r.evictReason = reason
 				r.closed = true // the sweep owns the sink teardown
 				delete(s.remotes, r)
@@ -293,17 +256,8 @@ func (h *Host) sweepHealth(now time.Time) []evicted {
 				out = append(out, evicted{r: r, snap: snap})
 				continue
 			}
-
 			if h.cfg.Ladder != nil {
-				// The quality ladder replaces the binary degrade check with
-				// its graded controller (see ladder.go).
-				h.ladderSweepLocked(r, now)
-				continue
-			}
-			if r.health == HealthHealthy && h.shouldDegradeLocked(r, now) {
-				r.health = HealthDegraded
-				r.healthSince = now
-				h.record("HealthDegrade", r.sink.queued())
+				h.ladderSweepLocked(r, backlogged, now)
 			}
 		}
 		s.Mu.Unlock()
@@ -321,24 +275,10 @@ func (h *Host) sweepHealth(now time.Time) []evicted {
 	return out
 }
 
-// shouldDegradeLocked reports whether a healthy remote has exhausted the
-// degrade budget: half of Config.MaxBacklogDwell spent continuously above
-// the backlog limit, or an equally long writer stall. Shard lock held.
-func (h *Host) shouldDegradeLocked(r *Remote, now time.Time) bool {
-	if h.cfg.EvictionPolicy == EvictionMonitor || h.cfg.MaxBacklogDwell <= 0 {
-		return false
-	}
-	budget := h.cfg.MaxBacklogDwell / 2
-	if !r.backlogHighSince.IsZero() && now.Sub(r.backlogHighSince) >= budget {
-		return true
-	}
-	return r.sink.stalled() >= budget
-}
-
 // evictReasonLocked returns a non-empty detach reason when the remote
-// must be evicted now: silence past Config.RemoteTimeout (any policy), or
-// congestion past Config.MaxBacklogDwell under EvictionDegradeThenDrop.
-// Shard lock held.
+// must be evicted now: silence past Config.RemoteTimeout, or continuous
+// backlog dwell / writer stall past Config.MaxBacklogDwell. Shard lock
+// held.
 func (h *Host) evictReasonLocked(r *Remote, now time.Time) string {
 	if h.cfg.RemoteTimeout > 0 {
 		heard := r.lastHeard
@@ -350,7 +290,7 @@ func (h *Host) evictReasonLocked(r *Remote, now time.Time) string {
 				silent.Round(time.Millisecond), h.cfg.RemoteTimeout)
 		}
 	}
-	if h.cfg.EvictionPolicy != EvictionDegradeThenDrop || h.cfg.MaxBacklogDwell <= 0 {
+	if h.cfg.MaxBacklogDwell <= 0 {
 		return ""
 	}
 	if !r.backlogHighSince.IsZero() {
@@ -364,17 +304,6 @@ func (h *Host) evictReasonLocked(r *Remote, now time.Time) string {
 			stall.Round(time.Millisecond), h.cfg.MaxBacklogDwell)
 	}
 	return ""
-}
-
-// recoverLocked promotes a degraded remote back to healthy once its link
-// has drained, and latches the full-refresh "keyframe" it is owed (served
-// by the same Tick's refresh pass). Shard lock held.
-func (h *Host) recoverLocked(r *Remote, now time.Time) {
-	r.health = HealthHealthy
-	r.healthSince = now
-	r.needResync = false
-	r.refreshRequested = true
-	h.record("HealthRecover", 0)
 }
 
 // finishEvictions tears down transports for remotes the sweep detached:

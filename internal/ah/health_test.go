@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,7 +72,6 @@ func runStallScenario(t *testing.T, stall bool) stallResult {
 		Stats:           stats.NewCollector(),
 		BacklogLimit:    1024,
 		MaxBacklogDwell: time.Second,
-		EvictionPolicy:  EvictionDegradeThenDrop,
 		OnEvict: func(snap RemoteHealth) {
 			evMu.Lock()
 			evictions = append(evictions, snap)
@@ -222,23 +222,20 @@ func TestLivenessStalledViewerEvicted(t *testing.T) {
 	}
 }
 
-// TestLivenessDegradeThenRecover: under EvictionDegrade a congested
-// viewer is demoted to keyframe-only mode (pending regions dropped, not
-// accumulated) and promoted back — with a full resync — once its link
-// drains. It must never be evicted.
+// TestLivenessDegradeThenRecover: with the ladder on and no dwell budget,
+// a really wedged stream viewer walks down to keyframe-only mode (pending
+// regions dropped, not accumulated), is never evicted, and climbs back —
+// with a full resync — once its link drains.
 func TestLivenessDegradeThenRecover(t *testing.T) {
 	clock := newFakeClock()
-	st := stats.NewCollector()
 	d := display.NewDesktop(320, 240)
 	w := d.CreateWindow(1, region.XYWH(10, 10, 220, 160))
 	h, err := New(Config{
-		Desktop:         d,
-		Now:             clock.Now,
-		Stats:           st,
-		BacklogLimit:    512,
-		MaxBacklogDwell: time.Second,
-		EvictionPolicy:  EvictionDegrade,
-		OnEvict:         func(RemoteHealth) { t.Error("EvictionDegrade must never evict") },
+		Desktop:      d,
+		Now:          clock.Now,
+		BacklogLimit: 512,
+		Ladder:       testLadderConfig(),
+		OnEvict:      func(RemoteHealth) { t.Error("no dwell budget: congestion must never evict") },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,19 +252,22 @@ func TestLivenessDegradeThenRecover(t *testing.T) {
 	}
 
 	vid := workload.NewVideoRegion(w, region.XYWH(20, 20, 100, 80), 11)
-	for step := 0; step < 8; step++ {
+	tick := func() {
+		t.Helper()
 		vid.Step()
 		clock.Advance(200 * time.Millisecond)
 		if err := h.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hs := r.Health()
-	if hs.State != HealthDegraded {
-		t.Fatalf("state after sustained backlog = %v, want degraded", hs.State)
+	// Two sweeps a rung (one starts the congestion streak, the next
+	// demotes), then a few ticks on the bottom rung.
+	for step := 0; step < 10; step++ {
+		tick()
 	}
-	if got := st.Get("HealthDegrade").Messages; got == 0 {
-		t.Fatal("HealthDegrade stat not recorded")
+	hs := r.Health()
+	if hs.Tier != TierKeyframeOnly || hs.State != HealthDegraded {
+		t.Fatalf("after sustained backlog: tier %v state %v, want keyframe/degraded", hs.Tier, hs.State)
 	}
 	if hs.DeferStreak == 0 || hs.MaxDeferStreak == 0 {
 		t.Fatalf("deferral streak not tracked: %+v", hs)
@@ -277,40 +277,141 @@ func TestLivenessDegradeThenRecover(t *testing.T) {
 	pendingEmpty := r.pending.Empty()
 	r.sh.Mu.Unlock()
 	if !pendingEmpty {
-		t.Fatal("degraded remote still accumulates pending regions")
+		t.Fatal("keyframe-only remote still accumulates pending regions")
 	}
 
-	// The viewer comes back: drain the pipe and let the sweep promote.
-	pump(t, p, partEnd)
-	settle()
-	for step := 0; step < 4; step++ {
-		vid.Step()
-		clock.Advance(200 * time.Millisecond)
-		if err := h.Tick(); err != nil {
-			t.Fatal(err)
+	// The viewer comes back. drain waits until the pump has handled every
+	// packet the host has stamped for this remote, so each sweep below
+	// samples an empty send queue.
+	var handled atomic.Uint64
+	go func() {
+		fr := framing.NewReader(partEnd)
+		for {
+			pkt, err := fr.ReadFrame()
+			if err != nil {
+				return
+			}
+			if err := p.HandlePacket(pkt); err != nil {
+				t.Errorf("participant: %v", err)
+			}
+			handled.Add(1)
 		}
-		settle()
+	}()
+	drain := func() {
+		t.Helper()
+		waitFor(t, "pump to drain the stream", func() bool {
+			return handled.Load() == r.Health().SentPackets
+		})
 	}
-	if got := r.Health().State; got != HealthHealthy {
-		t.Fatalf("state after drain = %v, want healthy", got)
+	drain()
+	for step := 0; step < 20 && r.QualityTier() != TierFull; step++ {
+		tick()
+		drain()
 	}
-	if got := st.Get("HealthRecover").Messages; got == 0 {
-		t.Fatal("HealthRecover stat not recorded")
+	tick() // flushes what the decimated rung folded on its way up
+	drain()
+	if hs := r.Health(); hs.Tier != TierFull || hs.State != HealthHealthy {
+		t.Fatalf("after drain: tier %v state %v, want full/healthy", hs.Tier, hs.State)
 	}
-	// The recovery keyframe resynced the viewer.
+	// The promotion keyframe resynced the viewer.
 	want := w.Snapshot()
 	got := p.WindowImage(w.ID())
 	if got == nil || !bytes.Equal(got.Pix, want.Pix) {
-		t.Fatal("viewer did not converge after degraded-mode recovery")
+		t.Fatal("viewer did not converge after keyframe-only recovery")
 	}
 	if h.Participants() != 1 {
 		t.Fatalf("participants = %d, want 1", h.Participants())
 	}
 }
 
+// TestLivenessHealthStateIsDerived: RemoteHealth.State is a pure function
+// of (Tier, EvictReason) on every rung — while attached, after the remote
+// rode a session snapshot to another host, and once evicted.
+func TestLivenessHealthStateIsDerived(t *testing.T) {
+	for _, tc := range []struct {
+		tier QualityTier
+		want HealthState
+	}{
+		{TierFull, HealthHealthy},
+		{TierDecimated, HealthHealthy},
+		{TierScaled, HealthHealthy},
+		{TierKeyframeOnly, HealthDegraded},
+	} {
+		t.Run(tc.tier.String(), func(t *testing.T) {
+			clock := newFakeClock()
+			var evictions []RemoteHealth
+			mkHost := func() *Host {
+				h, _ := newHost(t, Config{
+					Desktop:       display.NewDesktop(160, 120),
+					Now:           clock.Now,
+					RemoteTimeout: time.Second,
+					OnEvict:       func(hs RemoteHealth) { evictions = append(evictions, hs) },
+				})
+				t.Cleanup(func() { h.Close() })
+				return h
+			}
+			check := func(stage string, hs RemoteHealth, want HealthState) {
+				t.Helper()
+				if hs.Tier != tc.tier || hs.State != want {
+					t.Fatalf("%s: tier %v state %v, want %v/%v", stage, hs.Tier, hs.State, tc.tier, want)
+				}
+			}
+
+			hostA := mkHost()
+			rA, err := hostA.AttachPacketConn("v", &discardConn{newParkedConn()}, PacketOptions{PinTier: tc.tier})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := hostA.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			check("attached", rA.Health(), tc.want)
+
+			snap, err := hostA.SnapshotSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := snap.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := UnmarshalSessionSnapshot(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hostB := mkHost()
+			if err := hostB.RestoreSession(decoded); err != nil {
+				t.Fatal(err)
+			}
+			rB, err := hostB.ResumePacketConn("v", &discardConn{newParkedConn()}, PacketOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("restored", rB.Health(), tc.want)
+
+			// The evict reason outranks the rung.
+			clock.Advance(2 * time.Second)
+			if err := hostB.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if len(evictions) != 1 || evictions[0].EvictReason == "" {
+				t.Fatalf("evictions = %+v, want the silent restored remote", evictions)
+			}
+			check("evicted", evictions[0], HealthEvicted)
+
+			// The encoding lost three fields: a blob from before that is
+			// refused, not misread.
+			blob[0] = 1
+			if _, err := UnmarshalSessionSnapshot(blob); err == nil || !strings.Contains(err.Error(), "version 1 unsupported") {
+				t.Fatalf("version-1 snapshot: err = %v, want unsupported version", err)
+			}
+		})
+	}
+}
+
 // TestLivenessRemoteTimeoutEviction: a UDP viewer that goes silent past
-// Config.RemoteTimeout is evicted under every policy (here the default
-// monitor policy), with the liveness reason recorded.
+// Config.RemoteTimeout is evicted (no dwell budget, no ladder), with the
+// liveness reason recorded.
 func TestLivenessRemoteTimeoutEviction(t *testing.T) {
 	clock := newFakeClock()
 	var (

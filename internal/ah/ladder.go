@@ -5,15 +5,14 @@ import (
 	"time"
 )
 
-// Congestion-adaptive quality ladder (see DESIGN.md "Congestion-adaptive
-// quality ladder"). PR 3's health subsystem gave the host exactly two
-// answers to a viewer that cannot keep up: keyframe-only degraded mode,
-// or eviction. The ladder closes the loop into a real rate controller:
-// a TFRC-style estimator folds the existing per-remote signals — send
-// backlog dwell, writer stalls, RTCP RR loss — into a congestion
-// verdict each tick, and that verdict walks the remote through ordered
-// delivery tiers, one step at a time, with hysteresis so a flapping
-// link ratchets down gracefully and recovers without oscillation.
+// Congestion-adaptive quality ladder (see DESIGN.md "Slow viewers:
+// quality ladder & eviction") — the one mechanism that changes what a
+// congested viewer is sent. A TFRC-style estimator folds the per-remote
+// signals — send backlog, writer stalls, RTCP RR loss — into a
+// congestion verdict each tick, and that verdict walks the remote
+// through ordered delivery tiers, one step at a time, with hysteresis
+// so a flapping link ratchets down gracefully and recovers without
+// oscillation.
 
 // QualityTier is one rung of the per-remote quality ladder, ordered
 // from full fidelity (lowest value) to cheapest (highest value). The
@@ -36,9 +35,10 @@ const (
 	// blocks compress far smaller. Pixels are approximate until the
 	// remote is promoted and served its resync refresh.
 	TierScaled
-	// TierKeyframeOnly withholds pixel data entirely — PR 3's degraded
-	// mode: window structure still flows, and the remote is owed one
-	// full refresh ("keyframe") when it is promoted off this rung.
+	// TierKeyframeOnly withholds pixel data entirely: window structure
+	// still flows, and the remote is owed one full refresh ("keyframe")
+	// when it is promoted off this rung. RemoteHealth reports it as
+	// HealthDegraded.
 	TierKeyframeOnly
 )
 
@@ -169,26 +169,12 @@ func (h *Host) scaleBlock() int {
 	return DefaultScaleBlock
 }
 
-// effectiveTierLocked resolves the delivery tier for this tick. With
-// the ladder enabled (or a tier pinned) the controller's rung rules;
-// otherwise the legacy health mapping applies: degraded means
-// keyframe-only, everything else full fidelity. Shard lock held.
-func (r *Remote) effectiveTierLocked() QualityTier {
-	if r.tierPinned || r.host.cfg.Ladder != nil {
-		return r.tier
-	}
-	if r.health == HealthDegraded {
-		return TierKeyframeOnly
-	}
-	return TierFull
-}
-
-// QualityTier returns the remote's current ladder rung (TierFull when
-// the ladder is disabled and the remote is healthy).
+// QualityTier returns the remote's current ladder rung (TierFull unless
+// the ladder or PinQualityTier moved it).
 func (r *Remote) QualityTier() QualityTier {
 	r.sh.Mu.Lock()
 	defer r.sh.Mu.Unlock()
-	return r.effectiveTierLocked()
+	return r.tier
 }
 
 // PinQualityTier forces the remote onto one rung and exempts it from
@@ -205,31 +191,30 @@ func (r *Remote) PinQualityTier(t QualityTier) {
 	}
 	r.sh.Mu.Lock()
 	defer r.sh.Mu.Unlock()
-	now := r.host.cfg.Now()
 	from := r.tier
 	r.tierPinned = true
 	if t == from {
 		return
 	}
 	r.tier = t
-	r.tierSince = now
+	r.tierSince = r.host.cfg.Now()
 	r.decimTicks = 0
 	if t < from && from >= TierScaled {
 		r.resyncForPromotionLocked()
 	}
-	r.syncHealthWithTierLocked(now)
 }
 
 // ladderSweepLocked is the per-Tick controller pass for one remote: it
 // folds the congestion signals into streak clocks and applies the
 // demote/promote rules with hysteresis. Called from sweepHealth (tick
-// start) in place of the legacy degrade check. Shard lock held.
-func (h *Host) ladderSweepLocked(r *Remote, now time.Time) {
+// start) with the sweep's one backlog sample for this remote. Shard lock
+// held.
+func (h *Host) ladderSweepLocked(r *Remote, backlogged bool, now time.Time) {
 	if r.tierPinned {
 		return
 	}
 	lc := h.cfg.Ladder
-	congested, clean := r.congestionSignalLocked(lc, now)
+	congested, clean := r.congestionSignalLocked(lc, backlogged, now)
 
 	// Streak clocks: a verdict starts its clock on the first sweep it
 	// holds and zeroes the opposite clock; the loss hysteresis band
@@ -280,13 +265,13 @@ func (h *Host) ladderSweepLocked(r *Remote, now time.Time) {
 }
 
 // congestionSignalLocked renders the TFRC-style verdict for one sweep:
-// congested when the send path is backlogged past its limit, the
-// writer has stalled for a demote threshold, or a recent RR reports
-// loss at or above LossDemote; clean when none of that holds and any
-// recent loss report sits at or below LossPromote. Loss inside the
-// hysteresis band yields (false, false). Shard lock held.
-func (r *Remote) congestionSignalLocked(lc *LadderConfig, now time.Time) (congested, clean bool) {
-	congested = r.sink.backlogged(0) || r.sink.stalled() >= lc.DemoteAfter
+// congested when the send path is backlogged past its limit (the
+// sweep's sample), the writer has stalled for a demote threshold, or a
+// recent RR reports loss at or above LossDemote; clean when none of that
+// holds and any recent loss report sits at or below LossPromote. Loss
+// inside the hysteresis band yields (false, false). Shard lock held.
+func (r *Remote) congestionSignalLocked(lc *LadderConfig, backlogged bool, now time.Time) (congested, clean bool) {
+	congested = backlogged || r.sink.stalled() >= lc.DemoteAfter
 	lossKnown := r.lastRR.Valid && !r.lastRRAt.IsZero() &&
 		now.Sub(r.lastRRAt) <= lc.FlapWindow
 	var loss float64
@@ -322,9 +307,8 @@ func (h *Host) demoteLocked(r *Remote, now time.Time) {
 		r.pending.Clear()
 		r.pendingPointer = false
 	}
-	r.syncHealthWithTierLocked(now)
 	h.record("QualityDemote", r.sink.queued())
-	if lc != nil && !lc.NoHysteresis && !r.lastPromoteAt.IsZero() &&
+	if !lc.NoHysteresis && !r.lastPromoteAt.IsZero() &&
 		now.Sub(r.lastPromoteAt) < lc.FlapWindow {
 		r.tierFlaps++
 		r.promoteWait *= 2
@@ -349,7 +333,6 @@ func (h *Host) promoteLocked(r *Remote, now time.Time) {
 	if from >= TierScaled {
 		r.resyncForPromotionLocked()
 	}
-	r.syncHealthWithTierLocked(now)
 	h.record("QualityPromote", 0)
 }
 
@@ -361,21 +344,5 @@ func (h *Host) promoteLocked(r *Remote, now time.Time) {
 func (r *Remote) resyncForPromotionLocked() {
 	r.pending.Clear()
 	r.pendingPointer = false
-	r.needResync = false
 	r.refreshRequested = true
-}
-
-// syncHealthWithTierLocked mirrors the ladder rung into the legacy
-// HealthState so RemoteHealth consumers see keyframe-only remotes as
-// degraded. The ladder bypasses recordHealth* stats — tier transitions
-// have their own kinds. Shard lock held.
-func (r *Remote) syncHealthWithTierLocked(now time.Time) {
-	switch {
-	case r.tier == TierKeyframeOnly && r.health == HealthHealthy:
-		r.health = HealthDegraded
-		r.healthSince = now
-	case r.tier != TierKeyframeOnly && r.health == HealthDegraded:
-		r.health = HealthHealthy
-		r.healthSince = now
-	}
 }

@@ -67,8 +67,8 @@ func newLadderHarness(t *testing.T, lc *LadderConfig) (*Host, *Remote, *ctrlSink
 
 // TestLadderDemoteThroughTiersAndRecover walks a remote down every rung
 // under sustained congestion — one rung at a time, never skipping — and
-// back up under a clean signal, checking the health mirror, the stats
-// kinds, the keyframe-tier pending purge and the resync latch owed from
+// back up under a clean signal, checking the derived health state, the
+// stats kinds, the keyframe-tier pending purge and the resync latch owed from
 // a lossy tier.
 func TestLadderDemoteThroughTiersAndRecover(t *testing.T) {
 	h, r, cs, clock, st := newLadderHarness(t, testLadderConfig())
@@ -150,16 +150,10 @@ func TestLadderDemoteThroughTiersAndRecover(t *testing.T) {
 			hs.State, hs.Tier, hs.TierTransitions)
 	}
 	r.sh.Mu.Lock()
-	refresh, resync := r.refreshRequested, r.needResync
+	refresh := r.refreshRequested
 	r.sh.Mu.Unlock()
-	if !refresh || resync {
-		t.Fatalf("promotion out of a lossy tier must latch the refresh and clear needResync (refresh=%v resync=%v)",
-			refresh, resync)
-	}
-	// The legacy degrade/recover stats belong to the non-ladder path and
-	// must stay silent while the ladder is driving.
-	if st.Get("HealthDegrade").Messages != 0 || st.Get("HealthRecover").Messages != 0 {
-		t.Fatal("ladder transitions leaked legacy HealthDegrade/HealthRecover stats")
+	if !refresh {
+		t.Fatal("promotion out of a lossy tier must latch the refresh")
 	}
 }
 

@@ -74,8 +74,6 @@ type Remote struct {
 	deferrals      uint64
 
 	// Health/liveness tracking (see health.go); guarded by sh.Mu.
-	health           HealthState
-	healthSince      time.Time
 	attachedAt       time.Time
 	lastHeard        time.Time
 	lastRRAt         time.Time
@@ -83,7 +81,6 @@ type Remote struct {
 	backlogHighSince time.Time
 	deferStreak      int
 	maxDeferStreak   int
-	needResync       bool
 	evictReason      string
 
 	// Quality-ladder state (see ladder.go); guarded by sh.Mu.
@@ -195,43 +192,22 @@ func (r *Remote) deliver(b *capture.Batch, prep *preparedBatch) error {
 		r.deferStreak = 0
 	}
 
-	switch r.effectiveTierLocked() {
+	block := 0 // full fidelity
+	switch r.tier {
 	case TierKeyframeOnly:
 		// Keyframe-only mode: stop accumulating per-region detail for a
 		// viewer that cannot keep up — the pending set is what a wedged
 		// remote grows without bound. Window structure still goes out;
-		// the pixels are owed as one full refresh on the way back up.
-		if backlogged || r.sink.backlogged(0) || r.host.cfg.Ladder != nil || r.tierPinned {
-			// With the ladder enabled the controller owns the climb back
-			// out (promoteLocked latches the refresh); only the legacy
-			// health path self-recovers here.
-			r.pending.Clear()
-			r.pendingPointer = false
-			r.needResync = true
-			return r.st.Send(prep.wmOnly())
-		}
-		// Link drained below the limit: promote back to healthy and let
-		// this Tick's refresh pass send the keyframe.
-		r.host.recoverLocked(r, r.host.cfg.Now())
+		// the pixels are owed as one full refresh on the way back up
+		// (promoteLocked or PinQualityTier latches it).
+		r.pending.Clear()
+		r.pendingPointer = false
 		return r.st.Send(prep.wmOnly())
 
 	case TierScaled:
-		// Pixelated delivery: fold this batch into the pending set and
-		// flush it re-encoded at reduced detail. Moves cannot ship as
-		// MoveRectangle here for the same reason as the fold path below —
-		// the flushed updates already carry post-move content.
-		if backlogged {
-			r.deferScreenData(b)
-			return r.st.Send(prep.wmOnly())
-		}
-		r.foldScreenData(b)
-		if err := r.st.Send(prep.wmOnly()); err != nil {
-			return err
-		}
-		block := r.host.scaleBlock()
-		return r.flushPendingWith(func(rect region.Rect) ([]capture.Update, error) {
-			return r.host.encodeRegionDegraded(rect, block)
-		})
+		// Pixelated delivery: every batch takes the fold-and-flush path
+		// below, re-encoded at reduced detail.
+		block = r.host.scaleBlock()
 
 	case TierDecimated:
 		// Frame decimation: pixels flush on every Nth tick only; the
@@ -263,13 +239,14 @@ func (r *Remote) deliver(b *capture.Batch, prep *preparedBatch) error {
 	// post-move content — applying the move on top would double-shift
 	// it. Fold the whole batch into the pending set and flush everything
 	// as freshly captured updates (Section 7's "most recent screen
-	// data"). Window state still leads the flush.
-	if !r.pending.Empty() || r.pendingPointer {
+	// data"). The scaled rung always goes this way, for the same reason.
+	// Window state still leads the flush.
+	if block != 0 || !r.pending.Empty() || r.pendingPointer {
 		r.foldScreenData(b)
 		if err := r.st.Send(prep.wmOnly()); err != nil {
 			return err
 		}
-		return r.flushPending()
+		return r.flushPending(block)
 	}
 	return r.st.Send(r.tileCompose(prep, true))
 }
@@ -297,16 +274,12 @@ func (r *Remote) foldScreenData(b *capture.Batch) {
 	}
 }
 
-func (r *Remote) flushPending() error {
-	return r.flushPendingWith(r.host.encodeRegion)
-}
-
-// flushPendingWith flushes the pending set through an arbitrary region
-// encoder (full-fidelity or a degraded tier variant). Shard lock held.
-func (r *Remote) flushPendingWith(encode func(region.Rect) ([]capture.Update, error)) error {
+// flushPending re-captures and ships the pending set, pixelated at block
+// (0 = full fidelity). Shard lock held.
+func (r *Remote) flushPending(block int) error {
 	var ups []capture.Update
 	for _, rect := range r.pending.Coalesce(1024) {
-		u, err := encode(rect)
+		u, err := r.host.encodeRegion(rect, block)
 		if err != nil {
 			return err
 		}
@@ -357,11 +330,11 @@ func (r *Remote) fullRefresh() error {
 	if err != nil {
 		return err
 	}
-	if r.effectiveTierLocked() == TierScaled {
+	if r.tier == TierScaled {
 		block := r.host.scaleBlock()
 		var ups []capture.Update
 		for _, up := range b.Updates {
-			du, err := r.host.encodeRegionDegraded(up.Rect, block)
+			du, err := r.host.encodeRegion(up.Rect, block)
 			if err != nil {
 				return err
 			}

@@ -103,7 +103,7 @@ func (h *Host) runShardWork(w *shardWork) {
 			}
 			if r.refreshRequested {
 				// Serve the PLI latched since the last tick (or the resync
-				// a recovering degraded remote is owed), after the journal
+				// a remote promoted off a lossy tier is owed), after the journal
 				// batch so the refresh snapshot is consistent with
 				// everything already emitted.
 				r.refreshRequested = false
@@ -128,7 +128,7 @@ func (h *Host) runShardWork(w *shardWork) {
 			// Tier coherence: a TierScaled refresher re-encodes through the
 			// degraded path (fullRefresh routes it), the rest share this
 			// phase's full-resolution preparation.
-			if r.effectiveTierLocked() == TierScaled {
+			if r.tier == TierScaled {
 				if err := r.fullRefresh(); err != nil && w.err == nil {
 					w.err = err
 				}

@@ -73,10 +73,8 @@ type RemoteSnapshot struct {
 	PendingPointer bool
 	Deferrals      uint64
 
-	// Health state and clocks (health.go). Times are Unix nanoseconds,
-	// 0 meaning "never".
-	Health           int32
-	HealthSince      int64
+	// Health clocks (health.go). Times are Unix nanoseconds, 0 meaning
+	// "never".
 	AttachedAt       int64
 	LastHeard        int64
 	LastRRAt         int64
@@ -84,7 +82,6 @@ type RemoteSnapshot struct {
 	BacklogHighSince int64
 	DeferStreak      int32
 	MaxDeferStreak   int32
-	NeedResync       bool
 
 	// Quality-ladder state and clocks (ladder.go).
 	Tier            uint8
@@ -186,8 +183,6 @@ func (r *Remote) snapshotLocked(shardIndex uint32) RemoteSnapshot {
 		PendingPointer: r.pendingPointer,
 		Deferrals:      r.deferrals,
 
-		Health:           int32(r.health),
-		HealthSince:      timeToNano(r.healthSince),
 		AttachedAt:       timeToNano(r.attachedAt),
 		LastHeard:        timeToNano(r.lastHeard),
 		LastRRAt:         timeToNano(r.lastRRAt),
@@ -195,7 +190,6 @@ func (r *Remote) snapshotLocked(shardIndex uint32) RemoteSnapshot {
 		BacklogHighSince: timeToNano(r.backlogHighSince),
 		DeferStreak:      int32(r.deferStreak),
 		MaxDeferStreak:   int32(r.maxDeferStreak),
-		NeedResync:       r.needResync,
 
 		Tier:            uint8(r.tier),
 		TierSince:       timeToNano(r.tierSince),
@@ -315,8 +309,6 @@ func (h *Host) restoreRemote(rs *RemoteSnapshot) error {
 		pendingPointer: rs.PendingPointer,
 		deferrals:      rs.Deferrals,
 
-		health:           HealthState(rs.Health),
-		healthSince:      nanoToTime(rs.HealthSince),
 		attachedAt:       nanoToTime(rs.AttachedAt),
 		lastHeard:        nanoToTime(rs.LastHeard),
 		lastRRAt:         nanoToTime(rs.LastRRAt),
@@ -324,7 +316,6 @@ func (h *Host) restoreRemote(rs *RemoteSnapshot) error {
 		backlogHighSince: nanoToTime(rs.BacklogHighSince),
 		deferStreak:      int(rs.DeferStreak),
 		maxDeferStreak:   int(rs.MaxDeferStreak),
-		needResync:       rs.NeedResync,
 
 		tier:            QualityTier(rs.Tier),
 		tierSince:       nanoToTime(rs.TierSince),
@@ -463,7 +454,7 @@ func (nullSink) close() error                    { return nil }
 // --- snapshot wire encoding ------------------------------------------------
 
 // sessionSnapshotVersion guards the Marshal encoding.
-const sessionSnapshotVersion = 1
+const sessionSnapshotVersion = 2
 
 // Marshal encodes the snapshot for a broker heartbeat or migration
 // transfer. The encoding is deterministic: equal snapshots produce
@@ -559,8 +550,6 @@ func appendRemoteSnapshot(w *wire.Writer, rs *RemoteSnapshot) error {
 	appendBool(w, rs.PendingPointer)
 	w.Uint64(rs.Deferrals)
 
-	w.Int32(rs.Health)
-	w.Uint64(uint64(rs.HealthSince))
 	w.Uint64(uint64(rs.AttachedAt))
 	w.Uint64(uint64(rs.LastHeard))
 	w.Uint64(uint64(rs.LastRRAt))
@@ -568,7 +557,6 @@ func appendRemoteSnapshot(w *wire.Writer, rs *RemoteSnapshot) error {
 	w.Uint64(uint64(rs.BacklogHighSince))
 	w.Int32(rs.DeferStreak)
 	w.Int32(rs.MaxDeferStreak)
-	appendBool(w, rs.NeedResync)
 
 	w.Uint8(rs.Tier)
 	w.Uint64(uint64(rs.TierSince))
@@ -710,8 +698,6 @@ func readRemoteSnapshot(r *wire.Reader, rs *RemoteSnapshot) {
 	rs.PendingPointer = readBool(r)
 	rs.Deferrals = r.Uint64()
 
-	rs.Health = r.Int32()
-	rs.HealthSince = int64(r.Uint64())
 	rs.AttachedAt = int64(r.Uint64())
 	rs.LastHeard = int64(r.Uint64())
 	rs.LastRRAt = int64(r.Uint64())
@@ -719,7 +705,6 @@ func readRemoteSnapshot(r *wire.Reader, rs *RemoteSnapshot) {
 	rs.BacklogHighSince = int64(r.Uint64())
 	rs.DeferStreak = r.Int32()
 	rs.MaxDeferStreak = r.Int32()
-	rs.NeedResync = readBool(r)
 
 	rs.Tier = r.Uint8()
 	rs.TierSince = int64(r.Uint64())

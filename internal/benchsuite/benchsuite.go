@@ -46,16 +46,9 @@ func Cases() []Case {
 	for _, viewers := range []int{128, 1000, 4000, 10000} {
 		// single-lock pins SendShards=1 (one mutex, inline fan-out);
 		// sharded follows GOMAXPROCS (the production config; on one proc
-		// it clamps to one shard and matches single-lock); sharded-x4
-		// forces four sender goroutines plus the tick barrier, so the
-		// coordination overhead is visible even without cores to spread
-		// across.
-		for _, m := range []struct {
-			name   string
-			shards int
-		}{{"single-lock", 1}, {"sharded", 0}, {"sharded-x4", 4}} {
-			add(func(b *testing.B) { shardedFanout(b, viewers, m.shards) }, "E22ShardedFanout/viewers-%d/%s", viewers, m.name)
-		}
+		// it clamps to one shard and matches single-lock).
+		add(func(b *testing.B) { shardedFanout(b, viewers, 1) }, "E22ShardedFanout/viewers-%d/single-lock", viewers)
+		add(func(b *testing.B) { shardedFanout(b, viewers, 0) }, "E22ShardedFanout/viewers-%d/sharded", viewers)
 	}
 	for _, p := range tileProfiles {
 		add(func(b *testing.B) { tileLeg(b, p, false) }, "TileStore/%s/store-off", p.name)

@@ -259,9 +259,6 @@ func validate(sc Scenario) error {
 		return fmt.Errorf("netsim: scenario %q: desktop %dx%d is below the 96x64 floor (the shared window is inset 64x48)",
 			sc.Name, sc.DesktopW, sc.DesktopH)
 	}
-	if _, err := ah.ParseEvictionPolicy(sc.EvictionPolicy); err != nil {
-		return err
-	}
 	if sc.Relay == nil && sc.Expect.MinRelayAbsorbed > 0 {
 		return fmt.Errorf("netsim: scenario %q: Expect.MinRelayAbsorbed requires a relay tier", sc.Name)
 	}
@@ -432,7 +429,6 @@ func Run(sc Scenario) (*Result, error) {
 		return nil, err
 	}
 
-	policy, _ := ah.ParseEvictionPolicy(sc.EvictionPolicy)
 	r.coll = stats.NewCollector()
 	var tileCfg *ah.TileStoreConfig
 	if sc.TileStore {
@@ -449,7 +445,6 @@ func Run(sc Scenario) (*Result, error) {
 		Entropy:         entropyFrom(deriveSeed(sc.Seed, "host-entropy")),
 		RemoteTimeout:   sc.RemoteTimeout,
 		MaxBacklogDwell: sc.MaxBacklogDwell,
-		EvictionPolicy:  policy,
 		BacklogLimit:    sc.BacklogLimit,
 		Ladder:          sc.Ladder,
 		OnEvict:         func(snap ah.RemoteHealth) { r.pendingEvicts = append(r.pendingEvicts, snap) },
@@ -536,7 +531,6 @@ func Run(sc Scenario) (*Result, error) {
 			Entropy:         entropyFrom(deriveSeed(sc.Seed, "host-b-entropy")),
 			RemoteTimeout:   sc.RemoteTimeout,
 			MaxBacklogDwell: sc.MaxBacklogDwell,
-			EvictionPolicy:  policy,
 			BacklogLimit:    sc.BacklogLimit,
 			Ladder:          sc.Ladder,
 			OnEvict:         func(snap ah.RemoteHealth) { r.pendingEvicts = append(r.pendingEvicts, snap) },

@@ -294,7 +294,6 @@ type Scenario struct {
 	// Host policy knobs (zero values keep the ah defaults).
 	RemoteTimeout   time.Duration
 	MaxBacklogDwell time.Duration
-	EvictionPolicy  string // "", "monitor", "degrade", "drop"
 	BacklogLimit    int
 	// Ladder, when non-nil, enables the host's congestion-adaptive
 	// quality ladder (ah.Config.Ladder) with these knobs. Simulations
@@ -503,7 +502,6 @@ func Matrix() []Scenario {
 			},
 			BacklogLimit:    4 << 10,
 			MaxBacklogDwell: 320 * time.Millisecond,
-			EvictionPolicy:  "drop",
 			Expect:          Expectations{Evicted: []string{"slow"}},
 		},
 		{
