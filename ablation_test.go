@@ -1,6 +1,6 @@
 // Ablation benchmarks for the tunable design choices DESIGN.md calls
-// out: damage coalescing budget, fragmentation MTU, and content-adaptive
-// codec selection.
+// out: damage coalescing budget, content-adaptive codec selection and
+// capture mode.
 package appshare_test
 
 import (
@@ -9,7 +9,6 @@ import (
 
 	"appshare"
 	"appshare/internal/capture"
-	"appshare/internal/codec"
 	"appshare/internal/stats"
 	"appshare/internal/workload"
 )
@@ -61,47 +60,6 @@ func BenchmarkAblationCoalesceWaste(b *testing.B) {
 			if t.Messages > 0 {
 				b.ReportMetric(float64(t.Bytes)/float64(b.N), "bytes/tick")
 				b.ReportMetric(float64(t.Messages)/float64(b.N), "msgs/tick")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMTU sweeps the fragmentation MTU for a large photo
-// update: smaller MTUs cost more packets and header bytes.
-func BenchmarkAblationMTU(b *testing.B) {
-	img := workload.Photo(640, 480, 42)
-	content, err := (codec.PNG{}).Encode(img)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mtu := range []int{512, 1200, 8192} {
-		b.Run(fmt.Sprintf("mtu-%d", mtu), func(b *testing.B) {
-			desk := appshare.NewDesktop(800, 600)
-			win := desk.CreateWindow(1, appshare.XYWH(0, 0, 640, 480))
-			host, err := appshare.NewHost(appshare.HostConfig{Desktop: desk, MTU: mtu})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer host.Close()
-			hostSide, partSide := appshare.SimulatedLink(appshare.LinkConfig{Seed: 1}, appshare.LinkConfig{Seed: 2})
-			if _, err := host.AttachPacketConn("p", hostSide, appshare.PacketOptions{}); err != nil {
-				b.Fatal(err)
-			}
-			go func() {
-				for {
-					if _, err := partSide.Recv(); err != nil {
-						return
-					}
-				}
-			}()
-			vid := workload.NewVideoRegion(win, appshare.XYWH(0, 0, 320, 240), 7)
-			b.SetBytes(int64(len(content)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vid.Step()
-				if err := host.Tick(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

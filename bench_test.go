@@ -1,21 +1,16 @@
 // Benchmarks for every experiment in DESIGN.md's per-experiment index.
 // Each BenchmarkEnn target measures the hot path behind the
-// corresponding table/figure reproduction; cmd/ads-bench prints the
-// paper-style tables themselves.
+// corresponding table/figure reproduction.
 package appshare_test
 
 import (
 	"bytes"
-	"fmt"
-	"image"
-	"io"
 	"testing"
 	"time"
 
 	"appshare"
 	"appshare/internal/benchsuite"
 	"appshare/internal/bfcp"
-	"appshare/internal/codec"
 	"appshare/internal/core"
 	"appshare/internal/framing"
 	"appshare/internal/hip"
@@ -26,7 +21,6 @@ import (
 	"appshare/internal/rtp"
 	"appshare/internal/sdp"
 	"appshare/internal/wire"
-	"appshare/internal/workload"
 )
 
 // BenchmarkE01HeaderCodec measures the common remoting/HIP header
@@ -67,66 +61,6 @@ func BenchmarkE02WMInfoCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkE03FragmentReassemble measures the Table 2 fragmentation
-// machinery: a 64 KiB update split at MTU 1200 and reassembled.
-func BenchmarkE03FragmentReassemble(b *testing.B) {
-	content := bytes.Repeat([]byte{0xA5}, 64<<10)
-	update := &remoting.RegionUpdate{WindowID: 1, ContentPT: 96, Content: content}
-	ra := core.NewReassembler()
-	b.SetBytes(int64(len(content)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		frags, err := update.Fragments(1200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var done bool
-		for _, f := range frags {
-			msg, err := ra.Push(f.Payload, f.Marker)
-			if err != nil {
-				b.Fatal(err)
-			}
-			done = msg != nil
-		}
-		if !done {
-			b.Fatal("message did not complete")
-		}
-	}
-}
-
-// BenchmarkE04ScrollMoveVsUpdate compares one scrolled-frame capture
-// with MoveRectangle detection against full pixel re-encoding.
-func BenchmarkE04ScrollMoveVsUpdate(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"move", false}, {"naive", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			desk := appshare.NewDesktop(1280, 1024)
-			win := desk.CreateWindow(1, appshare.XYWH(100, 80, 640, 480))
-			host, err := appshare.NewHost(appshare.HostConfig{
-				Desktop: desk,
-				Capture: appshare.CaptureOptions{DisableMoveDetection: mode.disable},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer host.Close()
-			sc := workload.NewScrolling(win, 3, 7)
-			if err := host.Tick(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc.Step()
-				if err := host.Tick(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkE07HIPCodec measures HIP event (Table 3) marshal+unmarshal.
 func BenchmarkE07HIPCodec(b *testing.B) {
 	events := []hip.Event{
@@ -144,43 +78,6 @@ func BenchmarkE07HIPCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := hip.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE08LateJoin measures building a full PLI refresh (window
-// state + full-window content + pointer) of a 640x480 text window.
-func BenchmarkE08LateJoin(b *testing.B) {
-	desk := appshare.NewDesktop(1280, 1024)
-	win := desk.CreateWindow(1, appshare.XYWH(100, 80, 640, 480))
-	host, err := appshare.NewHost(appshare.HostConfig{Desktop: desk})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer host.Close()
-	ty := workload.NewTyping(win, 2000, 3)
-	for i := 0; i < 20; i++ {
-		ty.Step()
-	}
-	if err := host.Tick(); err != nil {
-		b.Fatal(err)
-	}
-	hostSide, partSide := appshare.SimulatedLink(appshare.LinkConfig{Seed: 1}, appshare.LinkConfig{Seed: 2})
-	remote, err := host.AttachPacketConn("late", hostSide, appshare.PacketOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		for {
-			if _, err := partSide.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := host.RequestRefresh(remote); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,118 +107,6 @@ func BenchmarkE09NACKRecovery(b *testing.B) {
 		if got := pkts[0].(*rtcp.NACK).Lost(); len(got) != len(lost) {
 			b.Fatalf("lost %d != %d", len(got), len(lost))
 		}
-	}
-}
-
-// BenchmarkE10Codecs measures each codec on each content class
-// (Section 4.2's table).
-func BenchmarkE10Codecs(b *testing.B) {
-	synth := textImage(b)
-	photo := workload.Photo(640, 480, 11)
-	codecs := []appshare.Codec{codec.PNG{}, codec.JPEG{Quality: 75}, codec.Raw{}}
-	contents := []struct {
-		name string
-		img  *image.RGBA
-	}{{"synthetic", synth}, {"photo", photo}}
-	for _, c := range codecs {
-		for _, in := range contents {
-			b.Run(fmt.Sprintf("%s/%s", c.Name(), in.name), func(b *testing.B) {
-				b.SetBytes(int64(len(in.img.Pix)))
-				var encoded int64
-				for i := 0; i < b.N; i++ {
-					data, err := c.Encode(in.img)
-					if err != nil {
-						b.Fatal(err)
-					}
-					encoded += int64(len(data))
-				}
-				b.ReportMetric(float64(encoded)/float64(b.N), "bytes/frame")
-			})
-		}
-	}
-}
-
-func textImage(b *testing.B) *image.RGBA {
-	b.Helper()
-	desk := appshare.NewDesktop(800, 600)
-	win := desk.CreateWindow(1, appshare.XYWH(0, 0, 640, 480))
-	ty := workload.NewTyping(win, 4000, 9)
-	for i := 0; i < 12; i++ {
-		ty.Step()
-	}
-	return win.Snapshot()
-}
-
-// BenchmarkE11Backlog measures a host tick delivering to a backlogged
-// stream (deferral path) versus a clear one.
-func BenchmarkE11Backlog(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		rate int
-	}{{"clear", 0}, {"backlogged", 1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			desk := appshare.NewDesktop(1280, 1024)
-			win := desk.CreateWindow(1, appshare.XYWH(100, 80, 512, 384))
-			host, err := appshare.NewHost(appshare.HostConfig{Desktop: desk, BacklogLimit: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer host.Close()
-			hostEnd, partEnd := benchsuite.StreamPair()
-			go io.Copy(io.Discard, partEnd)
-			if _, err := host.AttachStream("s", hostEnd, appshare.StreamOptions{BytesPerSecond: mode.rate}); err != nil {
-				b.Fatal(err)
-			}
-			vid := workload.NewVideoRegion(win, appshare.XYWH(0, 0, 128, 96), 13)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vid.Step()
-				if err := host.Tick(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE12Fanout measures one tick at increasing multicast audience
-// sizes: the cost should stay flat (one encode, N sends on the bus).
-func BenchmarkE12Fanout(b *testing.B) {
-	for _, n := range []int{1, 16, 64} {
-		b.Run(fmt.Sprintf("subs-%d", n), func(b *testing.B) {
-			desk := appshare.NewDesktop(1280, 1024)
-			win := desk.CreateWindow(1, appshare.XYWH(100, 80, 512, 384))
-			host, err := appshare.NewHost(appshare.HostConfig{Desktop: desk})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer host.Close()
-			bus := appshare.NewBus()
-			for i := 0; i < n; i++ {
-				sub := bus.Subscribe(appshare.LinkConfig{Seed: int64(i + 1)})
-				go func() {
-					for {
-						if _, err := sub.Recv(); err != nil {
-							return
-						}
-					}
-				}()
-			}
-			if _, err := host.AttachMulticast("g", bus); err != nil {
-				b.Fatal(err)
-			}
-			ty := workload.NewTyping(win, 64, 21)
-			if err := host.Tick(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ty.Step()
-				if err := host.Tick(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -453,8 +238,14 @@ func BenchmarkE18Validate(b *testing.B) {
 
 // The benchmarks cmd/ads-bench records in BENCH_baseline.json and gates
 // CI on live in internal/benchsuite, sub-benchmark names included
-// (rects-8/parallel, ...), so both entry points run the same bodies.
+// (mtu-1200, rects-8/parallel, ...), so both entry points run the same
+// bodies.
 
+func BenchmarkE03Fragmentation(b *testing.B)  { benchsuite.RunGroup(b, "E03Fragmentation") }
+func BenchmarkE04Scroll(b *testing.B)         { benchsuite.RunGroup(b, "E04Scroll") }
+func BenchmarkE08LateJoin(b *testing.B)       { benchsuite.RunGroup(b, "E08LateJoin") }
+func BenchmarkE10Codecs(b *testing.B)         { benchsuite.RunGroup(b, "E10Codecs") }
+func BenchmarkE11Backlog(b *testing.B)        { benchsuite.RunGroup(b, "E11Backlog") }
 func BenchmarkE19ParallelEncode(b *testing.B) { benchsuite.RunGroup(b, "E19ParallelEncode") }
 func BenchmarkE20RefreshCache(b *testing.B)   { benchsuite.RunGroup(b, "E20RefreshCache") }
 func BenchmarkE21LadderTiers(b *testing.B)    { benchsuite.RunGroup(b, "E21LadderTiers") }

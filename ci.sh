@@ -86,4 +86,4 @@ go run ./cmd/ads-bench -scenarios -scenario migrate-shards
 go run ./cmd/ads-bench -drift BENCH_baseline.json
 # The same benchmark bodies through their other entry point, one
 # iteration each, so neither side can rot unseen.
-go test -run '^$' -bench 'E19|E20|E21|E22ShardedFanout/viewers-128' -benchtime 1x .
+go test -run '^$' -bench 'E03|E04|E08|E10|E11|E19|E20|E21|E22ShardedFanout/viewers-128' -benchtime 1x .

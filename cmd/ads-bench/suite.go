@@ -122,14 +122,33 @@ type rule struct {
 }
 
 const (
+	e03       = "E03Fragmentation/mtu-"
 	e22       = "E22ShardedFanout/viewers-"
 	tiles     = "TileStore/"
 	wireBytes = "wire-bytes"
+	frame     = "bytes/frame"
 )
 
 // rules is every gate CI applies. The 10 000-viewer curve end is
 // recorded but not gated: too slow to rerun on every commit.
 var rules = []rule{
+	// The paper's shapes (EXPERIMENTS.md §B). E03: the per-fragment
+	// header costs under 2% at MTU 1200 against one fragment per
+	// message, and wire bytes never grow with the MTU.
+	{entry: e03 + "1200", metric: wireBytes, limit: 1.02, versus: e03 + "65000"},
+	{entry: e03 + "512", metric: wireBytes, limit: 1, versus: e03 + "256"},
+	{entry: e03 + "1200", metric: wireBytes, limit: 1, versus: e03 + "512"},
+	{entry: e03 + "1400", metric: wireBytes, limit: 1, versus: e03 + "1200"},
+	{entry: e03 + "8192", metric: wireBytes, limit: 1, versus: e03 + "1400"},
+	{entry: e03 + "65000", metric: wireBytes, limit: 1, versus: e03 + "8192"},
+	// E04: MoveRectangle ships a scroll in at most a fifth of the bytes.
+	{entry: "E04Scroll/move", metric: wireBytes, limit: 0.2, versus: "E04Scroll/update-only"},
+	// E10: PNG at most half of JPEG on text, JPEG at most a tenth of PNG
+	// on a photo.
+	{entry: "E10Codecs/png/synthetic", metric: frame, limit: 0.5, versus: "E10Codecs/jpeg/synthetic"},
+	{entry: "E10Codecs/jpeg/photo", metric: frame, limit: 0.1, versus: "E10Codecs/png/photo"},
+	// E11: §7 coalescing leaves at most a tenth of the naive backlog.
+	{entry: "E11Backlog/coalesce", metric: "queued-bytes", limit: 0.1, versus: "E11Backlog/naive"},
 	// The sharding machinery itself must not cost more than 20% over the
 	// single-lock path measured in the same process.
 	{entry: e22 + "1000/sharded", metric: nsPerOp, limit: 1.20, versus: e22 + "1000/single-lock"},

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"maps"
 	"os"
 	"strings"
@@ -23,6 +24,19 @@ func cleanRun() benchFile {
 		f.Benchmarks = append(f.Benchmarks,
 			result{Name: tiles + p + "/store-off", Iterations: 10, NsPerOp: 5e6, Metrics: map[string]float64{wireBytes: 660000, "encodes": 0}},
 			result{Name: tiles + p + "/store-on", Iterations: 10, NsPerOp: 5e6, Metrics: map[string]float64{wireBytes: 10000, "tile-refs": 20}})
+	}
+	for _, e := range []struct {
+		name, metric string
+		v            float64
+	}{
+		{e03 + "256", wireBytes, 541000}, {e03 + "512", wireBytes, 525000}, {e03 + "1200", wireBytes, 516000},
+		{e03 + "1400", wireBytes, 515000}, {e03 + "8192", wireBytes, 510000}, {e03 + "65000", wireBytes, 509000},
+		{"E04Scroll/move", wireBytes, 76000}, {"E04Scroll/update-only", wireBytes, 607000},
+		{"E10Codecs/png/synthetic", frame, 29000}, {"E10Codecs/jpeg/synthetic", frame, 174000},
+		{"E10Codecs/png/photo", frame, 509000}, {"E10Codecs/jpeg/photo", frame, 17000},
+		{"E11Backlog/coalesce", "queued-bytes", 83000}, {"E11Backlog/naive", "queued-bytes", 3325000},
+	} {
+		f.Benchmarks = append(f.Benchmarks, result{Name: e.name, Iterations: 1, NsPerOp: 1e6, Metrics: map[string]float64{e.metric: e.v}})
 	}
 	return f
 }
@@ -165,6 +179,53 @@ func TestFileRoundTrip(t *testing.T) {
 	for _, c := range benchsuite.Cases() {
 		if _, ok := f.metric(c.Name, nsPerOp); !ok {
 			t.Errorf("BENCH_baseline.json has no entry %s", c.Name)
+		}
+	}
+}
+
+// TestPaperShapes measures, one iteration each and twice, every entry a
+// count-based same-run rule reads: the counters must repeat exactly and
+// every such rule must hold. Two planted regressions must each fail
+// naming the entry they broke: the scroll measured with move detection
+// off (which is what the update-only leg is) and the PNG photo fed the
+// JPEG bytes.
+func TestPaperShapes(t *testing.T) {
+	defer flag.Set("test.benchtime", flag.Lookup("test.benchtime").Value.String())
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		t.Fatal(err)
+	}
+	var counted []rule
+	read := map[string]bool{}
+	for _, r := range rules {
+		if r.versus != "" && r.metric != nsPerOp {
+			counted = append(counted, r)
+			read[r.entry], read[r.versus] = true, true
+		}
+	}
+	var cases []benchsuite.Case
+	for _, c := range benchsuite.Cases() {
+		if read[c.Name] {
+			cases = append(cases, c)
+		}
+	}
+	fresh, again := measure(cases, 1), measure(cases, 1)
+	for i, r := range fresh.Benchmarks {
+		if !maps.Equal(r.Metrics, again.Benchmarks[i].Metrics) {
+			t.Errorf("%s: counters differ between runs: %v, then %v", r.Name, r.Metrics, again.Benchmarks[i].Metrics)
+		}
+	}
+	if _, failures := check(counted, fresh, fresh); len(failures) > 0 {
+		t.Errorf("shape rules fail: %q", failures)
+	}
+	for _, plant := range []struct{ entry, as string }{
+		{"E04Scroll/move", "E04Scroll/update-only"},
+		{"E10Codecs/png/photo", "E10Codecs/jpeg/photo"},
+	} {
+		var as result
+		edit(fresh, plant.as, func(r *result) { as = *r })
+		_, failures := check(counted, fresh, edit(fresh, plant.entry, func(r *result) { r.Metrics = as.Metrics }))
+		if len(failures) != 1 || !strings.Contains(failures[0], plant.entry) {
+			t.Errorf("%s measured as %s: failures %q, want one naming %s", plant.entry, plant.as, failures, plant.entry)
 		}
 	}
 }

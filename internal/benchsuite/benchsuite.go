@@ -1,9 +1,10 @@
 // Package benchsuite is the single home of the tracked benchmark bodies
-// (E19–E22 and the tile-store legs) and of the in-memory transports they
-// run over. Two entry points import it: bench_test.go, so that
-// `go test -bench E22 -cpuprofile` profiles the measured program, and
-// cmd/ads-bench, which records the same bodies into BENCH_baseline.json
-// and gates CI on them — one body each, so the two cannot drift apart.
+// (the paper-shape experiments E03–E11, E19–E22 and the tile-store legs)
+// and of the in-memory transports they run over. Two entry points
+// import it: bench_test.go, so that `go test -bench E22 -cpuprofile`
+// profiles the measured program, and cmd/ads-bench, which records the
+// same bodies into BENCH_baseline.json and gates CI on them — one body
+// each, so the two cannot drift apart.
 package benchsuite
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"appshare"
 	"appshare/internal/capture"
+	"appshare/internal/codec"
 	"appshare/internal/workload"
 )
 
@@ -34,6 +36,20 @@ func Cases() []Case {
 	add := func(run func(*testing.B), format string, args ...any) {
 		cs = append(cs, Case{Name: fmt.Sprintf(format, args...), Run: run})
 	}
+	for _, mtu := range []int{256, 512, 1200, 1400, 8192, 65000} {
+		add(func(b *testing.B) { fragmentation(b, mtu) }, "E03Fragmentation/mtu-%d", mtu)
+	}
+	add(func(b *testing.B) { scroll(b, true) }, "E04Scroll/move")
+	add(func(b *testing.B) { scroll(b, false) }, "E04Scroll/update-only")
+	for _, sz := range []struct{ w, h int }{{320, 240}, {640, 480}, {1024, 768}} {
+		add(func(b *testing.B) { lateJoin(b, sz.w, sz.h) }, "E08LateJoin/%dx%d", sz.w, sz.h)
+	}
+	for _, c := range []appshare.Codec{codec.PNG{}, codec.JPEG{Quality: 75}, codec.Raw{}} {
+		add(func(b *testing.B) { codecFrame(b, c, textFrame) }, "E10Codecs/%s/synthetic", c.Name())
+		add(func(b *testing.B) { codecFrame(b, c, photo) }, "E10Codecs/%s/photo", c.Name())
+	}
+	add(func(b *testing.B) { backlog(b, true) }, "E11Backlog/coalesce")
+	add(func(b *testing.B) { backlog(b, false) }, "E11Backlog/naive")
 	for _, rects := range []int{2, 8, 16} {
 		add(func(b *testing.B) { parallelEncode(b, rects, -1) }, "E19ParallelEncode/rects-%d/serial", rects)
 		add(func(b *testing.B) { parallelEncode(b, rects, 0) }, "E19ParallelEncode/rects-%d/parallel", rects)
