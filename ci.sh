@@ -29,9 +29,11 @@ go test -race -cpu 1,2,4 -count=1 -run 'TestScenarioDigestsFrozen|TestScenarioDe
 # shard-count replay-invariance proof, under the race detector.
 go test -race -count=1 -run 'TestScenarioStorms|TestStormShardInvariance' .
 # Shard churn: concurrent flash-crowd attach/detach/evict against the
-# tick loop with counter reconciliation, and the per-remote byte-stream
-# parity proof, on one and four procs.
-go test -race -cpu 1,4 -count=2 -run 'TestShardChurnFlashCrowd|TestShardByteStreamParity' ./internal/ah
+# tick loop with counter reconciliation, the per-remote byte-stream
+# parity proof, and the encode pool's byte-identical batches with large
+# rectangles split into bands (geometry, tile keys, effort and cache,
+# pointer, refresh latch, convergence over loss), on one and four procs.
+go test -race -cpu 1,4 -count=2 -run 'TestShardChurnFlashCrowd|TestShardByteStreamParity|TestParallelEncodeDeterminism|TestBand' ./internal/ah ./internal/capture .
 # Allocation-free send path gates, on the same procs: what a tick (or a
 # relay's forwarded batch) allocates must not grow with the viewer
 # count, a batch handed to a forwarder or re-fanned by a relay must not

@@ -161,6 +161,9 @@ var rules = []rule{
 	// Sharded tick latency within +20% of the committed curve.
 	{entry: e22 + "1000/sharded", metric: nsPerOp, limit: 1.20, ifSame: sameMachine},
 	{entry: e22 + "4000/sharded", metric: nsPerOp, limit: 1.20, ifSame: sameMachine},
+	// video_relay's frame, split into bands across the pool, within +20%
+	// of the committed tick.
+	{entry: "E19ParallelEncode/video/parallel", metric: nsPerOp, limit: 1.20, ifSame: sameMachine},
 	// Tile wire bytes within +10% of the committed counts, both legs (a
 	// grown store-off leg means the baseline shifted).
 	{entry: tiles + "scroll-back/store-off", metric: wireBytes, limit: 1.10, ifSame: sameGo},

@@ -11,6 +11,8 @@ import (
 	"appshare/internal/benchsuite"
 )
 
+const videoPar = "E19ParallelEncode/video/parallel"
+
 // cleanRun fabricates a measurement in which every rule holds with room
 // to spare: nothing here is timed.
 func cleanRun() benchFile {
@@ -20,6 +22,8 @@ func cleanRun() benchFile {
 			result{Name: e22 + v + "/single-lock", Iterations: 100, NsPerOp: 1000, AllocsPerOp: 66},
 			result{Name: e22 + v + "/sharded", Iterations: 100, NsPerOp: 900, AllocsPerOp: 66})
 	}
+	f.Benchmarks = append(f.Benchmarks, result{Name: videoPar, Iterations: 100, NsPerOp: 8e6, AllocsPerOp: 27,
+		Metrics: map[string]float64{"payload-bytes/tick": 141000}})
 	for _, p := range []string{"scroll-back", "re-expose", "slide-revisit"} {
 		f.Benchmarks = append(f.Benchmarks,
 			result{Name: tiles + p + "/store-off", Iterations: 10, NsPerOp: 5e6, Metrics: map[string]float64{wireBytes: 660000, "encodes": 0}},
@@ -91,6 +95,10 @@ func TestCheck(t *testing.T) {
 			fresh: edit(cleanRun(), slideOff, wire(99000)), fail: []string{tiles + "slide-revisit/store-on"}},
 		{name: "sharded ns +21% vs committed", committed: cleanRun(),
 			fresh: edit(cleanRun(), sharded1k, ns(1089)), fail: []string{sharded1k}},
+		{name: "video tick +21% vs committed", committed: cleanRun(),
+			fresh: edit(cleanRun(), videoPar, ns(9.68e6)), fail: []string{videoPar}},
+		{name: "video tick +19% vs committed", committed: cleanRun(),
+			fresh: edit(cleanRun(), videoPar, ns(9.52e6))},
 		{name: "tile bytes +11% vs committed", committed: cleanRun(),
 			fresh: edit(cleanRun(), scrollOn, wire(11100)), fail: []string{scrollOn}},
 		{name: "store-off bytes +11% vs committed", committed: cleanRun(),

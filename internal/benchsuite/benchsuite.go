@@ -9,6 +9,7 @@ package benchsuite
 
 import (
 	"fmt"
+	"image"
 	"image/color"
 	"io"
 	"strings"
@@ -54,6 +55,8 @@ func Cases() []Case {
 		add(func(b *testing.B) { parallelEncode(b, rects, -1) }, "E19ParallelEncode/rects-%d/serial", rects)
 		add(func(b *testing.B) { parallelEncode(b, rects, 0) }, "E19ParallelEncode/rects-%d/parallel", rects)
 	}
+	add(func(b *testing.B) { videoEncode(b, -1) }, "E19ParallelEncode/video/serial")
+	add(func(b *testing.B) { videoEncode(b, 0) }, "E19ParallelEncode/video/parallel")
 	add(func(b *testing.B) { refreshCache(b, 0) }, "E20RefreshCache/cache")
 	add(func(b *testing.B) { refreshCache(b, -1) }, "E20RefreshCache/nocache")
 	for _, tier := range []appshare.QualityTier{appshare.TierFull, appshare.TierDecimated, appshare.TierScaled, appshare.TierKeyframeOnly} {
@@ -85,12 +88,37 @@ func RunGroup(b *testing.B, group string) {
 
 // parallelEncode (E19) measures one capture tick encoding rects dirty
 // rects, serial (workers -1) versus the GOMAXPROCS-sized worker pool
-// (0). The payload cache is disabled so every rect is a real PNG
-// encode; fill colours change per iteration so no tick is trivially
-// empty.
+// (0). Fill colours change per iteration so no tick is trivially empty.
 func parallelEncode(b *testing.B, rects, workers int) {
-	desk := appshare.NewDesktop(1600, 1200)
-	win := desk.CreateWindow(1, appshare.XYWH(0, 0, 1536, 1152))
+	encodeTicks(b, workers, 1536, 1152, func(win *appshare.Window, i int) {
+		for r := 0; r < rects; r++ {
+			c := color.RGBA{R: byte(i), G: byte(r * 37), B: byte(i >> 8), A: 255}
+			win.Fill(appshare.XYWH((r%4)*380, (r/4)*280, 160, 120), c)
+		}
+	})
+}
+
+// videoEncode (E19) measures one capture tick of video_relay's content:
+// a 341×256 photo frame (one of 8, generated outside the timer) blitted
+// where the video workload plays it in a 1024×768 window. The frame is
+// one dirty rectangle, which the pipeline splits into bands: encoded
+// one after another (workers -1) or across the pool (0).
+func videoEncode(b *testing.B, workers int) {
+	frames := make([]*image.RGBA, 8)
+	for i := range frames {
+		frames[i] = workload.Photo(341, 256, int64(i))
+	}
+	encodeTicks(b, workers, 1024, 768, func(win *appshare.Window, i int) {
+		win.Blit(frames[i%len(frames)], 8, 8)
+	})
+}
+
+// encodeTicks times paint-then-Tick on a w×h window with the given
+// encode pool width. The payload cache is disabled so every dirty rect
+// is a real encode.
+func encodeTicks(b *testing.B, workers, w, h int, paint func(win *appshare.Window, i int)) {
+	desk := appshare.NewDesktop(w+64, h+48)
+	win := desk.CreateWindow(1, appshare.XYWH(0, 0, w, h))
 	pipe, err := capture.New(desk, appshare.CaptureOptions{
 		EncodeWorkers: workers,
 		CacheBytes:    -1,
@@ -99,7 +127,7 @@ func parallelEncode(b *testing.B, rects, workers int) {
 		b.Fatal(err)
 	}
 	// Drain the initial full-window damage so iterations measure
-	// steady-state dirty-rect encoding only.
+	// steady-state encoding only.
 	if _, err := pipe.Tick(); err != nil {
 		b.Fatal(err)
 	}
@@ -107,10 +135,7 @@ func parallelEncode(b *testing.B, rects, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for r := 0; r < rects; r++ {
-			c := color.RGBA{R: byte(i), G: byte(r * 37), B: byte(i >> 8), A: 255}
-			win.Fill(appshare.XYWH((r%4)*380, (r/4)*280, 160, 120), c)
-		}
+		paint(win, i)
 		batch, err := pipe.Tick()
 		if err != nil {
 			b.Fatal(err)

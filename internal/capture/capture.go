@@ -113,6 +113,10 @@ type Pipeline struct {
 	png     codec.Codec
 	jpeg    codec.Codec
 	fixed   codec.Codec
+	// pngFast deflates the photographic bands of large rectangles at
+	// BestSpeed (see bands.go); nil unless the fixed codec is
+	// codec.PNG and AutoSelect is off.
+	pngFast codec.Codec
 	// lastCursor is the screen rectangle the cursor sprite occupied in
 	// the previous tick, for the pointer-in-updates mouse model.
 	lastCursor region.Rect
@@ -169,6 +173,9 @@ func New(desk *display.Desktop, opts Options) (*Pipeline, error) {
 	if opts.AutoSelect && p.jpeg == nil {
 		return nil, fmt.Errorf("capture: AutoSelect requires a JPEG codec")
 	}
+	if _, ok := p.fixed.(codec.PNG); ok && !opts.AutoSelect {
+		p.pngFast = fastPNG
+	}
 	return p, nil
 }
 
@@ -221,7 +228,7 @@ func (p *Pipeline) Tick() (*Batch, error) {
 	// rects compresses across all cores instead of one at a time.
 	var jobs []encodeJob
 	for _, dr := range damage.Coalesce(p.opts.CoalesceWaste) {
-		jobs = p.gatherRegion(jobs, dr)
+		jobs = p.gatherRegion(jobs, dr, true)
 	}
 
 	moved, changed := p.desk.TakeCursorEvents()
@@ -230,8 +237,8 @@ func (p *Pipeline) Tick() (*Batch, error) {
 		// mouse model): damage the sprite's old and new positions so the
 		// overlaid pixels retransmit.
 		cur := p.cursorRect()
-		jobs = p.gatherRegion(jobs, p.lastCursor)
-		jobs = p.gatherRegion(jobs, cur)
+		jobs = p.gatherRegion(jobs, p.lastCursor, true)
+		jobs = p.gatherRegion(jobs, cur, true)
 		p.lastCursor = cur
 	}
 	ups, err := p.encodeJobs(jobs)
@@ -263,7 +270,9 @@ func (p *Pipeline) cursorRect() region.Rect {
 // Sections 4.3, 5.3.1): the current WindowManagerInfo followed by a
 // RegionUpdate covering each shared window, plus the pointer state if the
 // MousePointerInfo model is in use ("it MUST inform the late joiners
-// about the current position and image of mouse pointer").
+// about the current position and image of mouse pointer"). Windows are
+// never split into bands here: a participant clears its refresh latch
+// on one update covering the whole window.
 func (p *Pipeline) FullRefresh() (*Batch, error) {
 	b := &Batch{WMInfo: p.tracker.Current(p.desk)}
 	var jobs []encodeJob
@@ -294,20 +303,25 @@ func (p *Pipeline) FullRefresh() (*Batch, error) {
 // transmit their own pixels — the participant composites locally under
 // its own layout (Figures 3–5). Senders also call this directly to
 // re-capture regions deferred under backlog (Section 7: "only send the
-// most recent screen data").
+// most recent screen data"). Large overlaps are split into bands.
 func (p *Pipeline) EncodeRegion(dr region.Rect) ([]Update, error) {
-	return p.encodeJobs(p.gatherRegion(nil, dr))
+	return p.encodeJobs(p.gatherRegion(nil, dr, true))
 }
 
 // encodeWindowRect encodes the window-local rectangle r of w into a
-// RegionUpdate with absolute coordinates.
-func (p *Pipeline) encodeWindowRect(w *display.Window, r region.Rect) (Update, error) {
+// RegionUpdate with absolute coordinates. A band of a large rectangle
+// (banded) that is photographic goes through the BestSpeed encoder.
+func (p *Pipeline) encodeWindowRect(w *display.Window, r region.Rect, banded bool) (Update, error) {
 	imgRect := image.Rect(r.Left, r.Top, r.Right(), r.Bottom())
-	c := p.fixed
-	if p.opts.AutoSelect {
-		sub := w.Image().SubImage(imgRect)
-		if rgba, ok := sub.(*image.RGBA); ok {
-			c = codec.ChooseCodec(rgba, p.png, p.jpeg)
+	c, salt := p.fixed, uint32(0)
+	if p.opts.AutoSelect || (banded && p.pngFast != nil) {
+		if rgba, ok := w.Image().SubImage(imgRect).(*image.RGBA); ok {
+			switch {
+			case p.opts.AutoSelect:
+				c = codec.ChooseCodec(rgba, p.png, p.jpeg)
+			case codec.Classify(rgba) == codec.ClassPhotographic:
+				c, salt = p.pngFast, fastSalt
+			}
 		}
 	}
 	abs := r.Translate(w.Bounds().Left, w.Bounds().Top)
@@ -327,7 +341,7 @@ func (p *Pipeline) encodeWindowRect(w *display.Window, r region.Rect) (Update, e
 		dst := image.Rect(cur.X-abs.Left, cur.Y-abs.Top,
 			cur.X-abs.Left+sb.Dx(), cur.Y-abs.Top+sb.Dy())
 		draw.Draw(crop, dst, cur.Sprite, sb.Min, draw.Over)
-		content, err = p.encodeCached(c, crop, crop.Bounds())
+		content, err = p.encodeCached(c, salt, crop, crop.Bounds())
 		// Tile hashes cover the composite — exactly what the viewer will
 		// decode and hash on its side.
 		if err == nil && p.opts.TileSize > 0 && codec.LosslessPT(c.PayloadType()) {
@@ -335,7 +349,7 @@ func (p *Pipeline) encodeWindowRect(w *display.Window, r region.Rect) (Update, e
 		}
 		codec.PutRGBA(crop)
 	} else {
-		content, err = p.encodeCached(c, w.Image(), imgRect)
+		content, err = p.encodeCached(c, salt, w.Image(), imgRect)
 		if err == nil && p.opts.TileSize > 0 && codec.LosslessPT(c.PayloadType()) {
 			tiles = codec.TileGridKeys(w.Image(), imgRect, p.opts.TileSize)
 		}
@@ -374,7 +388,7 @@ func (p *Pipeline) pointerMessage(withImage bool) (*remoting.MousePointerInfo, e
 	if withImage && cur.Sprite != nil {
 		// Cached: a PLI storm re-sends the same sprite to every
 		// requester, and sprites change rarely.
-		img, err := p.encodeCached(p.png, cur.Sprite, cur.Sprite.Bounds())
+		img, err := p.encodeCached(p.png, 0, cur.Sprite, cur.Sprite.Bounds())
 		if err != nil {
 			return nil, fmt.Errorf("capture: encode pointer: %w", err)
 		}

@@ -28,7 +28,7 @@ func (p *Pipeline) EncodeRegionDegraded(dr region.Rect, block int) ([]Update, er
 	if block < 2 {
 		return p.EncodeRegion(dr)
 	}
-	jobs := p.gatherRegion(nil, dr)
+	jobs := p.gatherRegion(nil, dr, false)
 	out := make([]Update, 0, len(jobs))
 	for _, j := range jobs {
 		up, err := p.encodeWindowRectDegraded(j.win, j.local, block)
@@ -103,7 +103,7 @@ func (p *Pipeline) encodeWindowRectDegraded(w *display.Window, r region.Rect, bl
 	if p.opts.TileSize > 0 && codec.LosslessPT(c.PayloadType()) {
 		tiles = codec.TileGridKeys(crop, crop.Bounds(), p.opts.TileSize)
 	}
-	content, err := p.encodeCached(c, crop, crop.Bounds())
+	content, err := p.encodeCached(c, 0, crop, crop.Bounds())
 	codec.PutRGBA(crop)
 	if err != nil {
 		return Update{}, fmt.Errorf("capture: degraded encode window %d rect %v: %w", w.ID(), r, err)

@@ -16,10 +16,13 @@ import (
 	"appshare/internal/region"
 )
 
-// encodeJob is one window-local rectangle awaiting encoding.
+// encodeJob is one window-local rectangle awaiting encoding. banded
+// marks a band of a rectangle of at least bandMinArea pixels, whose PNG
+// effort follows its content class.
 type encodeJob struct {
-	win   *display.Window
-	local region.Rect
+	win    *display.Window
+	local  region.Rect
+	banded bool
 }
 
 // EncodeMetrics is a snapshot of the pipeline's encode-layer counters:
@@ -63,7 +66,7 @@ func (p *Pipeline) encodeJobs(jobs []encodeJob) ([]Update, error) {
 		atomic.AddUint64(&p.serialJobs, uint64(len(jobs)))
 		out := make([]Update, 0, len(jobs))
 		for _, j := range jobs {
-			up, err := p.encodeWindowRect(j.win, j.local)
+			up, err := p.encodeWindowRect(j.win, j.local, j.banded)
 			if err != nil {
 				return nil, err
 			}
@@ -87,7 +90,7 @@ func (p *Pipeline) encodeJobs(jobs []encodeJob) ([]Update, error) {
 				if i >= len(jobs) {
 					return
 				}
-				out[i], errs[i] = p.encodeWindowRect(jobs[i].win, jobs[i].local)
+				out[i], errs[i] = p.encodeWindowRect(jobs[i].win, jobs[i].local, jobs[i].banded)
 			}
 		}()
 	}
@@ -100,27 +103,38 @@ func (p *Pipeline) encodeJobs(jobs []encodeJob) ([]Update, error) {
 	return out, nil
 }
 
-// gatherRegion appends one job per shared window overlapping the
-// absolute desktop rectangle dr, mirroring EncodeRegion's traversal.
-func (p *Pipeline) gatherRegion(jobs []encodeJob, dr region.Rect) []encodeJob {
+// gatherRegion appends the jobs of every shared window overlapping the
+// absolute desktop rectangle dr, mirroring EncodeRegion's traversal:
+// one job per overlap, or with band set one per band of it (bands.go).
+func (p *Pipeline) gatherRegion(jobs []encodeJob, dr region.Rect, band bool) []encodeJob {
 	for _, w := range p.desk.SharedWindows() {
 		overlap := dr.Intersect(w.Bounds())
 		if overlap.Empty() {
 			continue
 		}
-		jobs = append(jobs, encodeJob{
-			win:   w,
-			local: overlap.Translate(-w.Bounds().Left, -w.Bounds().Top),
-		})
+		local := overlap.Translate(-w.Bounds().Left, -w.Bounds().Top)
+		if !band || local.Width*local.Height < bandMinArea {
+			jobs = append(jobs, encodeJob{win: w, local: local})
+			continue
+		}
+		h := bandHeight(local, p.opts.TileSize)
+		for y := 0; y < local.Height; y += h {
+			jobs = append(jobs, encodeJob{
+				win:    w,
+				local:  region.XYWH(local.Left, local.Top+y, local.Width, min(h, local.Height-y)),
+				banded: true,
+			})
+		}
 	}
 	return jobs
 }
 
 // encodeCached produces the payload for the pixels of src inside r with
-// codec c, consulting the content-addressed payload cache first. The
-// returned slice may be shared with the cache and other messages; it
-// must be treated as read-only.
-func (p *Pipeline) encodeCached(c codec.Codec, src *image.RGBA, r image.Rectangle) ([]byte, error) {
+// codec c, consulting the content-addressed payload cache first under a
+// key salted with salt when it is non-zero. The returned slice may be
+// shared with the cache and other messages; it must be treated as
+// read-only.
+func (p *Pipeline) encodeCached(c codec.Codec, salt uint32, src *image.RGBA, r image.Rectangle) ([]byte, error) {
 	r = r.Intersect(src.Bounds())
 	if r.Empty() {
 		return nil, codec.ErrEmptyImage
@@ -128,7 +142,12 @@ func (p *Pipeline) encodeCached(c codec.Codec, src *image.RGBA, r image.Rectangl
 	if p.cache == nil {
 		return codec.EncodeSubImage(c, src, r)
 	}
-	key := codec.KeyFor(c.PayloadType(), src, r)
+	var key codec.CacheKey
+	if salt == 0 {
+		key = codec.KeyFor(c.PayloadType(), src, r)
+	} else {
+		key = codec.KeyForTier(c.PayloadType(), salt, src, r)
+	}
 	if payload, ok := p.cache.Get(key); ok {
 		return payload, nil
 	}

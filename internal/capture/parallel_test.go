@@ -81,7 +81,9 @@ func marshalBatch(t *testing.T, b *Batch) []byte {
 // TestParallelEncodeDeterminism proves the worker pool is invisible on
 // the wire: parallel-encoded batches are byte-identical to serial ones
 // (same message order, same payloads). Run with -cpu 1,4 to exercise
-// both a starved and a parallel scheduler.
+// both a starved and a parallel scheduler. The banded-photo leg streams
+// video_relay's frames, each one rectangle split into bands whose
+// photographic ones take the BestSpeed encoder.
 func TestParallelEncodeDeterminism(t *testing.T) {
 	type run struct {
 		name string
@@ -89,41 +91,66 @@ func TestParallelEncodeDeterminism(t *testing.T) {
 	}
 	runs := []run{
 		{"serial", Options{EncodeWorkers: -1, CacheBytes: -1}},
+		{"per-cpu", Options{EncodeWorkers: 0, CacheBytes: -1}},
 		{"parallel", Options{EncodeWorkers: 8, CacheBytes: -1}},
 		{"parallel-cached", Options{EncodeWorkers: 8}},
 		{"serial-cached", Options{EncodeWorkers: -1}},
 	}
-	const rounds = 5
-	var want [][]byte
-	for ri, r := range runs {
-		desk := display.NewDesktop(800, 600)
-		wins := paintScene(desk)
-		pipe, err := New(desk, r.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got [][]byte
-		for round := 0; round < rounds; round++ {
-			stirScene(desk, wins, round)
-			b, err := pipe.Tick()
+	// The banded-photo leg skips the full refresh (never banded) and
+	// runs fewer rounds: a photo deflate is slow under -race.
+	scenes := []struct {
+		name    string
+		rounds  int
+		refresh bool
+		stir    func(desk *display.Desktop, wins []*display.Window, round int)
+	}{
+		{"mixed", 5, true, stirScene},
+		{"banded-photo", 3, false, func(desk *display.Desktop, wins []*display.Window, round int) {
+			blitPhoto(wins[0], 4, 2+round, int64(round))
+			desk.MoveCursor(60+round*5, 140)
+		}},
+	}
+	for _, sc := range scenes {
+		var want [][]byte
+		for ri, r := range runs {
+			desk := display.NewDesktop(800, 600)
+			wins := paintScene(desk)
+			if sc.name == "banded-photo" {
+				wins = []*display.Window{desk.CreateWindow(2, region.XYWH(30, 40, 350, 262))}
+			}
+			pipe, err := New(desk, r.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, marshalBatch(t, b))
-			fb, err := pipe.FullRefresh()
-			if err != nil {
-				t.Fatal(err)
+			var got [][]byte
+			for round := 0; round < sc.rounds; round++ {
+				sc.stir(desk, wins, round)
+				b, err := pipe.Tick()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sc.name == "banded-photo" && len(b.Updates) < 2 {
+					t.Fatalf("%s round %d: %d updates, want the frame in bands", r.name, round, len(b.Updates))
+				}
+				got = append(got, marshalBatch(t, b))
+				if !sc.refresh {
+					continue
+				}
+				fb, err := pipe.FullRefresh()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, marshalBatch(t, fb))
 			}
-			got = append(got, marshalBatch(t, fb))
-		}
-		if ri == 0 {
-			want = got
-			continue
-		}
-		for i := range want {
-			if !bytes.Equal(want[i], got[i]) {
-				t.Fatalf("%s: batch %d differs from serial baseline (len %d vs %d)",
-					r.name, i, len(got[i]), len(want[i]))
+			if ri == 0 {
+				want = got
+				continue
+			}
+			for i := range want {
+				if !bytes.Equal(want[i], got[i]) {
+					t.Fatalf("%s/%s: batch %d differs from serial baseline (len %d vs %d)",
+						sc.name, r.name, i, len(got[i]), len(want[i]))
+				}
 			}
 		}
 	}

@@ -104,7 +104,7 @@ func (po *Poller) pollWindow(w *display.Window, b *Batch) error {
 			mv, residual := po.scrollMessages(w, prev, cur, dy)
 			b.Moves = append(b.Moves, mv)
 			for _, r := range residual {
-				up, err := po.p.encodeWindowRect(w, r)
+				up, err := po.p.encodeWindowRect(w, r, false)
 				if err != nil {
 					return err
 				}
@@ -115,7 +115,7 @@ func (po *Poller) pollWindow(w *display.Window, b *Batch) error {
 	}
 
 	for _, r := range dirty {
-		up, err := po.p.encodeWindowRect(w, r)
+		up, err := po.p.encodeWindowRect(w, r, false)
 		if err != nil {
 			return err
 		}

@@ -29,7 +29,8 @@ func (c ContentClass) String() string {
 // distinct-color-ratio heuristic: synthetic screen content (text, UI)
 // repeats a handful of palette colors, while photographic content has
 // nearly as many distinct colors as pixels. The sampling is bounded so
-// classification stays cheap for large regions.
+// classification stays cheap for large regions, and it allocates
+// nothing: the distinct colors go into a fixed table on the stack.
 func Classify(img *image.RGBA) ContentClass {
 	b := img.Bounds()
 	total := b.Dx() * b.Dy()
@@ -41,25 +42,68 @@ func Classify(img *image.RGBA) ContentClass {
 	for (b.Dx()/step)*(b.Dy()/step) > 4096 {
 		step++
 	}
-	colors := make(map[uint32]struct{}, 1024)
-	samples := 0
+	samples := ((b.Dx() + step - 1) / step) * ((b.Dy() + step - 1) / step)
+	// Synthetic content keeps the distinct-color ratio low even after
+	// anti-aliasing; photographs approach 1.0. The count only grows, so
+	// the verdict is final the moment it crosses the ratio.
+	photo := func(distinct int) bool { return float64(distinct)/float64(samples) > 0.35 }
+	var colors colorSet
+	colors.slots = colors.table[:]
 	for y := b.Min.Y; y < b.Max.Y; y += step {
 		for x := b.Min.X; x < b.Max.X; x += step {
 			i := img.PixOffset(x, y)
-			c := uint32(img.Pix[i])<<16 | uint32(img.Pix[i+1])<<8 | uint32(img.Pix[i+2])
-			colors[c] = struct{}{}
-			samples++
+			if colors.add(uint32(img.Pix[i])<<16|uint32(img.Pix[i+1])<<8|uint32(img.Pix[i+2])) && photo(colors.n) {
+				return ClassPhotographic
+			}
 		}
 	}
-	if samples == 0 {
-		return ClassSynthetic
-	}
-	// Synthetic content keeps the distinct-color ratio low even after
-	// anti-aliasing; photographs approach 1.0.
-	if float64(len(colors))/float64(samples) > 0.35 {
-		return ClassPhotographic
-	}
 	return ClassSynthetic
+}
+
+// colorSet is an exact set of 24-bit colors: open addressing over
+// slots, which start as the 4 096-entry table (16 KiB, on the caller's
+// stack) and double on the heap past half full — only a degenerate
+// sliver of a region, far thinner than the sampling step, can sample
+// that many distinct colors before Classify's early exit. A slot holds
+// color+1, so zero marks it empty.
+type colorSet struct {
+	table [4096]uint32
+	slots []uint32
+	n     int
+}
+
+// add inserts c and reports whether it was new.
+func (s *colorSet) add(c uint32) bool {
+	if !s.insert(c + 1) {
+		return false
+	}
+	s.n++
+	if 2*s.n > len(s.slots) {
+		old := s.slots
+		s.slots = make([]uint32, 2*len(old))
+		for _, v := range old {
+			if v != 0 {
+				s.insert(v)
+			}
+		}
+	}
+	return true
+}
+
+// insert places the non-zero slot value v and reports whether it was
+// absent. Fibonacci hashing spreads neighbouring colors across the
+// table; the mask keeps the probe inside it.
+func (s *colorSet) insert(v uint32) bool {
+	mask := uint32(len(s.slots) - 1)
+	for i := (v * 0x9E3779B1) >> 16 & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case v:
+			return false
+		case 0:
+			s.slots[i] = v
+			return true
+		}
+	}
 }
 
 // ChooseCodec picks a codec for a region per the Section 4.2 guidance:

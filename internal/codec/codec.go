@@ -75,7 +75,7 @@ func (PNG) Lossless() bool { return true }
 func (c PNG) Encode(img *image.RGBA) ([]byte, error) {
 	buf := getBuffer()
 	defer putBuffer(buf)
-	enc := png.Encoder{CompressionLevel: c.Level, BufferPool: &pngBuffers}
+	enc := png.Encoder{CompressionLevel: c.Level, BufferPool: pngBuffersFor(c.Level)}
 	if err := enc.Encode(buf, img); err != nil {
 		return nil, fmt.Errorf("codec: png encode: %w", err)
 	}

@@ -83,4 +83,18 @@ func (pp *pngBufferPool) Get() *png.EncoderBuffer {
 
 func (pp *pngBufferPool) Put(b *png.EncoderBuffer) { pp.p.Put(b) }
 
-var pngBuffers pngBufferPool
+// pngBuffers holds one pool per compression level, indexed by -level
+// (default, none, best speed, best compression): image/png rebuilds a
+// pooled buffer's zlib writer whenever the buffer was last used at
+// another level, so levels sharing one pool would each pay that on
+// every encode.
+var pngBuffers [1 - png.BestCompression]pngBufferPool
+
+// pngBuffersFor returns the buffer pool of level l. image/png treats an
+// unknown level as the default, and so does this.
+func pngBuffersFor(l png.CompressionLevel) *pngBufferPool {
+	if l < png.BestCompression || l > png.DefaultCompression {
+		l = png.DefaultCompression
+	}
+	return &pngBuffers[-l]
+}
